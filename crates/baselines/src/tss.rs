@@ -181,7 +181,7 @@ impl DynamicClassifier for TupleSpaceSearch {
             let records = rules.len();
             *self = Self::from_rules(rules);
             self.generation = generation + 1;
-            return Ok(UpdateReport { records, rebuilt: true });
+            return Ok(UpdateReport { records, rebuilt: true, compacted: false });
         }
         let (signature, key) = signature_of(&rule, &self.fields);
         let tuple = match self.tuples.iter_mut().find(|t| t.signature == signature) {
@@ -194,7 +194,7 @@ impl DynamicClassifier for TupleSpaceSearch {
         merge_entry(tuple, key, &rule);
         self.rules.push(rule);
         self.generation += 1;
-        Ok(UpdateReport { records: 1, rebuilt: false })
+        Ok(UpdateReport { records: 1, rebuilt: false, compacted: false })
     }
 
     /// Removes by rebuilding from the surviving rules (several rules can
@@ -210,7 +210,7 @@ impl DynamicClassifier for TupleSpaceSearch {
         let records = survivors.len();
         *self = Self::from_rules(survivors);
         self.generation = generation + 1;
-        Some(UpdateReport { records, rebuilt: true })
+        Some(UpdateReport { records, rebuilt: true, compacted: false })
     }
 }
 

@@ -670,6 +670,28 @@ impl FlowCache {
         self.stats.hit_rate()
     }
 
+    /// Vacates every entry installed under `epoch` that `stale` flags,
+    /// given the entry's header fields (in header order) and memoised
+    /// result; returns how many went. This is targeted invalidation for
+    /// an owner that knows *what* changed in its rule set and keeps its
+    /// epoch: entries the change cannot affect stay warm, where an epoch
+    /// bump would drop them all. One pass over every slot.
+    pub fn evict_where(
+        &mut self,
+        epoch: u64,
+        mut stale: impl FnMut(&[(MatchFieldKind, u128)], Option<u32>) -> bool,
+    ) -> usize {
+        let mut evicted = 0;
+        for e in self.window.iter_mut().chain(&mut self.entries) {
+            let live = e.hash != EMPTY && e.epoch == epoch;
+            if live && stale(&e.fields[..usize::from(e.len)], e.row) {
+                *e = Entry::VACANT;
+                evicted += 1;
+            }
+        }
+        evicted
+    }
+
     /// All counters since the last [`FlowCache::reset_stats`], as one
     /// copyable block.
     #[must_use]
@@ -740,6 +762,37 @@ mod tests {
         assert_eq!(c.lookup(1, &h), None);
         c.insert(1, &h, Some(9));
         assert_eq!(c.lookup(1, &h), Some(Some(9)));
+    }
+
+    #[test]
+    fn evict_where_drops_only_what_it_is_told_to() {
+        // Enough flows to spill from the recency window into the main
+        // region, half of them on port 2.
+        let mut c = FlowCache::new(64);
+        let flows: Vec<HeaderValues> =
+            (0..24).map(|i| header(1 + i % 2, 0x0A00_0000 + i)).collect();
+        for _ in 0..4 {
+            for (i, h) in flows.iter().enumerate() {
+                if c.lookup(5, h).is_none() {
+                    c.insert(5, h, Some(i as u32));
+                }
+            }
+        }
+        let resident: Vec<bool> = flows.iter().map(|h| c.lookup(5, h).is_some()).collect();
+        assert!(resident.iter().filter(|&&r| r).count() >= 16, "{resident:?}");
+        // Another epoch's walk touches nothing.
+        assert_eq!(c.evict_where(4, |_, _| true), 0);
+        // Port 2's flows go (by key), and flow 0 (by result); the rest stay.
+        let port2 = |fields: &[(MatchFieldKind, u128)]| fields[0] == (MatchFieldKind::InPort, 2);
+        let gone = c.evict_where(5, |fields, row| port2(fields) || row == Some(0));
+        assert!(gone >= 8, "{gone}");
+        for (i, h) in flows.iter().enumerate() {
+            let want = resident[i] && i % 2 == 0 && i != 0;
+            assert_eq!(c.lookup(5, h).is_some(), want, "flow {i}");
+        }
+        // A vacated slot takes a new entry like any other.
+        c.insert(5, &flows[1], Some(99));
+        assert_eq!(c.lookup(5, &flows[1]), Some(Some(99)));
     }
 
     #[test]

@@ -285,9 +285,13 @@ pub trait ClassifierBuilder: Classifier + Sized {
 pub struct UpdateReport {
     /// Stored datums written to apply the update.
     pub records: usize,
-    /// Whether the engine fell back to a full regeneration instead of an
-    /// in-place edit.
+    /// Whether the engine regenerated its structures instead of (or on
+    /// top of) an in-place edit.
     pub rebuilt: bool,
+    /// Whether that regeneration was a *compaction*: the edit itself was
+    /// applied in place, and the engine then reclaimed the garbage its
+    /// in-place removals had accumulated.
+    pub compacted: bool,
 }
 
 /// Classifiers supporting incremental rule insertion and removal.
@@ -297,6 +301,8 @@ pub trait DynamicClassifier: Classifier {
     fn insert_rule(&mut self, rule: Rule) -> Result<UpdateReport, BuildError>;
 
     /// Removes a rule by id. Returns `None` when no such rule is stored.
+    /// Ids are the caller's to keep unique; should several stored rules
+    /// carry this one (an add that was retried), all of them are removed.
     fn remove_rule(&mut self, rule_id: u32) -> Option<UpdateReport>;
 }
 

@@ -73,6 +73,21 @@ impl ActionTable {
         row
     }
 
+    /// Deletes the row at `address` by moving the last row into its
+    /// place (rows stay dense), returning the deleted row. The caller
+    /// re-addresses whatever pointed at the moved row.
+    ///
+    /// # Panics
+    /// Panics if `address` is out of range.
+    pub fn swap_remove(&mut self, address: u32) -> ActionRow {
+        self.rows.swap_remove(address as usize)
+    }
+
+    /// Deletes the last row.
+    pub fn pop(&mut self) -> Option<ActionRow> {
+        self.rows.pop()
+    }
+
     /// The row at `address`.
     #[must_use]
     pub fn get(&self, address: u32) -> Option<&ActionRow> {
@@ -131,6 +146,20 @@ mod tests {
         assert_eq!((a, b), (0, 1));
         assert_eq!(t.get(0), Some(&ActionRow::Final(RuleAction::Forward(3))));
         assert_eq!(t.get(2), None);
+        assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn swap_remove_keeps_rows_dense() {
+        let mut t = ActionTable::new();
+        for port in 0..4 {
+            t.push(ActionRow::Final(RuleAction::Forward(port)));
+        }
+        assert_eq!(t.swap_remove(1), ActionRow::Final(RuleAction::Forward(1)));
+        // The last row moved into the hole.
+        assert_eq!(t.get(1), Some(&ActionRow::Final(RuleAction::Forward(3))));
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.pop(), Some(ActionRow::Final(RuleAction::Forward(2))));
         assert_eq!(t.len(), 2);
     }
 

@@ -26,7 +26,7 @@ use offilter::{FilterKind, FilterSet, Rule};
 use oflow::HeaderValues;
 
 use crate::config::SwitchConfig;
-use crate::incremental::UpdateMode;
+use crate::incremental::{UpdateMode, UpdateOutcome};
 use crate::report::SwitchMemoryReport;
 use crate::switch::MtlSwitch;
 
@@ -112,23 +112,27 @@ impl ClassifierBuilder for MtlSwitch {
     }
 }
 
+impl From<UpdateOutcome> for UpdateReport {
+    fn from(outcome: UpdateOutcome) -> Self {
+        Self {
+            records: outcome.stats.records,
+            rebuilt: outcome.mode != UpdateMode::Incremental,
+            compacted: outcome.mode == UpdateMode::Compacted,
+        }
+    }
+}
+
 impl DynamicClassifier for MtlSwitch {
     fn insert_rule(&mut self, rule: Rule) -> Result<UpdateReport, BuildError> {
         let kind = self.primary_kind();
         let outcome = self.try_add_rule(kind, rule)?;
-        Ok(UpdateReport {
-            records: outcome.stats.records,
-            rebuilt: outcome.mode == UpdateMode::Rebuild,
-        })
+        Ok(outcome.into())
     }
 
     fn remove_rule(&mut self, rule_id: u32) -> Option<UpdateReport> {
         let kind = self.primary_kind();
         let outcome = MtlSwitch::remove_rule(self, kind, rule_id)?;
-        Some(UpdateReport {
-            records: outcome.stats.records,
-            rebuilt: outcome.mode == UpdateMode::Rebuild,
-        })
+        Some(outcome.into())
     }
 }
 

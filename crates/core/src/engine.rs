@@ -328,6 +328,36 @@ impl FieldEngine {
         }
     }
 
+    /// The labels an already-interned constraint maps to, one per label
+    /// position — the read-only twin of [`FieldEngine::intern`], which
+    /// incremental removal uses to find the index entries a stored rule
+    /// owns. `None` when the constraint was never interned, when its
+    /// shape does not belong to this engine, and for range engines —
+    /// a rule's entries in a range table include shadow completions its
+    /// own label does not name, so those tables are never edited in place.
+    #[must_use]
+    pub fn labels_of(&self, key: FieldKey, field_bits: u32) -> Option<Vec<Label>> {
+        match (self, key) {
+            (FieldEngine::Em { dict, .. }, FieldKey::Exact(v)) => dict.get(&v).map(|l| vec![l]),
+            (FieldEngine::Em { any_label, .. }, FieldKey::Any) => any_label.map(|l| vec![l]),
+            (FieldEngine::Trie(pt), FieldKey::Prefix(v, l)) => pt.labels_of(v, l),
+            (FieldEngine::Trie(pt), FieldKey::Exact(v)) => pt.labels_of(u128::from(v), field_bits),
+            (FieldEngine::Trie(pt), FieldKey::Any) => pt.labels_of(0, 0),
+            _ => None,
+        }
+    }
+
+    /// Distinct labels handed out so far, per label position (the sizes
+    /// of the engine's dictionaries).
+    #[must_use]
+    pub fn labels_issued(&self) -> Vec<usize> {
+        match self {
+            FieldEngine::Em { dict, .. } => vec![dict.len()],
+            FieldEngine::Trie(pt) => pt.dictionaries().iter().map(Dictionary::len).collect(),
+            FieldEngine::Range { ranges, .. } => vec![ranges.len()],
+        }
+    }
+
     /// Shadow sets for a constraint, computed against the *complete*
     /// dictionaries. The switch builder calls this in a second pass after
     /// all rules are interned — shadows returned by [`FieldEngine::intern`]
@@ -652,6 +682,37 @@ mod tests {
         assert!(chain.iter().any(|(l, _)| l == o_any.labels[0]));
         let chain = &e.search(81)[0];
         assert_eq!(chain.as_slice()[0].0, o_any.labels[0]);
+    }
+
+    #[test]
+    fn labels_of_agrees_with_intern_and_never_mutates() {
+        for (field, alg, keys) in [
+            (VlanVid, AlgorithmKind::EmLut, vec![FieldKey::Exact(7), FieldKey::Any]),
+            (
+                Ipv4Dst,
+                AlgorithmKind::classic_mbt(),
+                vec![
+                    FieldKey::Prefix(0x0A01_0200, 24),
+                    FieldKey::Prefix(0x0A00_0000, 8),
+                    FieldKey::Any,
+                ],
+            ),
+        ] {
+            let mut e = engine(field, &alg);
+            let bits = field.bit_width();
+            for &k in &keys {
+                assert_eq!(e.labels_of(k, bits), None, "{k:?} before interning");
+            }
+            let issued_empty = e.labels_issued();
+            for &k in &keys {
+                let interned = e.intern(field, k, bits).unwrap().labels;
+                assert_eq!(e.labels_of(k, bits), Some(interned), "{k:?}");
+            }
+            assert!(e.labels_issued().iter().zip(&issued_empty).all(|(now, then)| now > then));
+        }
+        let mut ranges = engine(TcpDst, &AlgorithmKind::Range);
+        ranges.intern(TcpDst, FieldKey::Range(10, 20), 16).unwrap();
+        assert_eq!(ranges.labels_of(FieldKey::Range(10, 20), 16), None, "never edited in place");
     }
 
     #[test]

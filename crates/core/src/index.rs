@@ -23,8 +23,10 @@
 //!
 //! The table is **open-addressed**: one flat power-of-two array of
 //! buckets (hash tag + priority + row) with linear probing and no
-//! tombstones (the architecture never deletes single entries — removals
-//! regenerate the application). Every key of a table has the same width
+//! tombstones: [`IndexTable::remove`] deletes by *backward shift* — the
+//! entries probing past the vacated slot move up to close the gap — so a
+//! vacant bucket still ends every probe sequence and the lookup path
+//! carries no tombstone check. Every key of a table has the same width
 //! (the table's label-position count is fixed by its engine
 //! configuration), so keys live **inline** in one contiguous `Vec<Label>`
 //! arena at `positions` labels per bucket — no per-entry heap `Vec`, no
@@ -130,11 +132,23 @@ impl IndexTable {
     /// shadowing combinations. `shadows[i]` lists alternative labels for
     /// position `i`.
     ///
+    /// A combination already taken goes to the higher priority; at equal
+    /// priority the entry stays as it is. For the primary combination
+    /// that tie is reported — the row holding `key` at this very
+    /// priority — so that a caller who can tell the two rules apart may
+    /// settle it ([`IndexTable::replace`]).
+    ///
     /// # Panics
     /// Panics if `key` and `shadows` disagree on the position count, or if
     /// `key`'s width differs from previously registered keys (a table's
     /// key width is fixed by its engine configuration).
-    pub fn register(&mut self, key: &[Label], shadows: &[Vec<Label>], priority: u32, row: u32) {
+    pub fn register(
+        &mut self,
+        key: &[Label],
+        shadows: &[Vec<Label>],
+        priority: u32,
+        row: u32,
+    ) -> Option<u32> {
         assert_eq!(key.len(), shadows.len(), "one shadow set per position");
         if self.len == 0 {
             self.positions = key.len();
@@ -147,15 +161,19 @@ impl IndexTable {
         let mut combo: Vec<Label> = key.to_vec();
         let mut odometer = vec![0usize; key.len()];
         let mut first = true;
+        let mut tied = None;
         loop {
-            self.upsert(&combo, priority, row, first);
+            let holder = self.upsert(&combo, priority, row, first);
+            if first {
+                tied = holder;
+            }
             first = false;
             // Advance the odometer; full wrap means every combination of
             // {primary, shadows} has been registered.
             let mut pos = 0;
             loop {
                 if pos == odometer.len() {
-                    return;
+                    return tied;
                 }
                 odometer[pos] += 1;
                 if odometer[pos] <= shadows[pos].len() {
@@ -170,8 +188,9 @@ impl IndexTable {
     }
 
     /// Inserts one combination, keeping the higher-priority rule when the
-    /// slot is already taken.
-    fn upsert(&mut self, key: &[Label], priority: u32, row: u32, is_primary: bool) {
+    /// slot is already taken; returns the row that keeps it at equal
+    /// priority.
+    fn upsert(&mut self, key: &[Label], priority: u32, row: u32, is_primary: bool) -> Option<u32> {
         self.grow_for(self.len + 1);
         let hash = Self::hash_key(key);
         let mask = self.buckets.len() - 1;
@@ -187,17 +206,84 @@ impl IndexTable {
                 } else {
                     self.completion_entries += 1;
                 }
-                return;
+                return None;
             }
             if b.hash == hash && self.key_at(slot) == key {
                 if priority > b.priority {
                     self.buckets[slot].priority = priority;
                     self.buckets[slot].row = row;
                 }
-                return;
+                return (priority == b.priority).then_some(b.row);
             }
             slot = (slot + 1) & mask;
         }
+    }
+
+    /// The bucket holding exactly `key`, if any (the update path's
+    /// [`IndexTable::probe`]).
+    fn slot_of(&self, key: &[Label]) -> Option<usize> {
+        if self.len == 0 || key.len() != self.positions {
+            return None;
+        }
+        let hash = Self::hash_key(key);
+        let mask = self.buckets.len() - 1;
+        let mut slot = (hash as usize) & mask;
+        loop {
+            let b = self.buckets[slot];
+            if b.hash == EMPTY {
+                return None;
+            }
+            if b.hash == hash && self.key_at(slot) == key {
+                return Some(slot);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Rewrites the `(priority, row)` stored under exactly `key` — the
+    /// incremental-remove path re-installing a runner-up rule, or
+    /// re-addressing a rule whose action row moved. Returns `false` (and
+    /// changes nothing) when the key is not stored.
+    pub fn replace(&mut self, key: &[Label], priority: u32, row: u32) -> bool {
+        let Some(slot) = self.slot_of(key) else { return false };
+        self.buckets[slot].priority = priority;
+        self.buckets[slot].row = row;
+        true
+    }
+
+    /// Deletes the entry stored under exactly `key`, returning its
+    /// `(priority, row)`. The gap is closed by backward shift: every
+    /// entry of the run that follows moves into the hole unless that
+    /// would put it before its home slot, so no probe sequence is ever
+    /// cut short and lookups need no tombstones. Capacity is kept (only
+    /// a regeneration shrinks a table).
+    ///
+    /// Only tables without completion entries delete single entries
+    /// (shadow completion belongs to range engines, whose applications
+    /// regenerate on removal), so the entry counts as a primary one.
+    pub fn remove(&mut self, key: &[Label]) -> Option<(u32, u32)> {
+        debug_assert_eq!(self.completion_entries, 0, "completion entries are never deleted singly");
+        let mut hole = self.slot_of(key)?;
+        let removed = self.buckets[hole];
+        let mask = self.buckets.len() - 1;
+        let width = self.positions;
+        let mut next = (hole + 1) & mask;
+        while self.buckets[next].hash != EMPTY {
+            let home = (self.buckets[next].hash as usize) & mask;
+            // `next` may fill the hole iff the hole lies on its probe
+            // path, i.e. it sits at least as far from home as from the hole.
+            if (next.wrapping_sub(home) & mask) >= (next.wrapping_sub(hole) & mask) {
+                self.buckets[hole] = self.buckets[next];
+                self.keys.copy_within(next * width..(next + 1) * width, hole * width);
+                hole = next;
+            }
+            next = (next + 1) & mask;
+        }
+        self.buckets[hole] = Bucket::VACANT;
+        self.keys[hole * width..(hole + 1) * width].fill(Label(0));
+        self.len -= 1;
+        self.primary_entries -= 1;
+        Some((removed.priority, removed.row))
     }
 
     /// Grows the bucket array so `needed` entries stay at or below 50 %
@@ -233,6 +319,8 @@ impl IndexTable {
     #[inline]
     #[must_use]
     pub fn probe(&self, key: &[Label]) -> Option<(u32, u32)> {
+        // The lookup path's own loop, not `slot_of` plus a second bucket
+        // read: that cost `mtl-core.classify_ns` 10 %.
         if self.len == 0 || key.len() != self.positions {
             return None;
         }
@@ -445,13 +533,18 @@ mod tests {
     #[test]
     fn higher_priority_keeps_slot() {
         let mut idx = IndexTable::new();
-        idx.register(&[Label(1)], &[vec![]], 10, 0);
-        idx.register(&[Label(1)], &[vec![]], 5, 1);
+        assert_eq!(idx.register(&[Label(1)], &[vec![]], 10, 0), None);
+        assert_eq!(idx.register(&[Label(1)], &[vec![]], 5, 1), None);
         assert_eq!(idx.probe(&[Label(1)]), Some((10, 0)));
-        idx.register(&[Label(1)], &[vec![]], 20, 2);
+        assert_eq!(idx.register(&[Label(1)], &[vec![]], 20, 2), None);
+        assert_eq!(idx.probe(&[Label(1)]), Some((20, 2)));
+        // A tie leaves the entry alone and names its holder; only the
+        // primary combination's tie is the caller's to settle.
+        assert_eq!(idx.register(&[Label(1)], &[vec![]], 20, 3), Some(2));
+        assert_eq!(idx.register(&[Label(4)], &[vec![Label(1)]], 20, 4), None);
         assert_eq!(idx.probe(&[Label(1)]), Some((20, 2)));
         // Re-registration never double counts.
-        assert_eq!(idx.len(), 1);
+        assert_eq!(idx.len(), 2);
     }
 
     #[test]
@@ -503,6 +596,54 @@ mod tests {
             assert_eq!(idx.probe(&[Label(i), Label(i * 7 + 1)]), Some((i, i)), "entry {i}");
         }
         assert_eq!(idx.probe(&[Label(1000), Label(0)]), None);
+    }
+
+    #[test]
+    fn remove_closes_the_gap_without_tombstones() {
+        // A model check against a map: interleaved registers and removes
+        // at a load that forces long shared probe runs (and wrap-around).
+        let mut idx = IndexTable::new();
+        let mut model = std::collections::BTreeMap::new();
+        let key = |i: u32| [Label(i % 97), Label(i.wrapping_mul(2_654_435_761) % 53)];
+        for i in 0..4000u32 {
+            let k = key(i);
+            if i % 3 == 2 {
+                let want = model.remove(&k);
+                assert_eq!(idx.remove(&k), want, "step {i}");
+            } else {
+                idx.register(&k, &[vec![], vec![]], i, i);
+                let slot = model.entry(k).or_insert((i, i));
+                if i > slot.0 {
+                    *slot = (i, i);
+                }
+            }
+            assert_eq!(idx.len(), model.len());
+            assert_eq!(idx.primary_entries(), model.len());
+        }
+        for (k, v) in &model {
+            assert_eq!(idx.probe(k), Some(*v), "{k:?}");
+        }
+        for (k, _) in std::mem::take(&mut model) {
+            assert!(idx.remove(&k).is_some());
+            assert_eq!(idx.probe(&k), None);
+        }
+        assert!(idx.is_empty());
+        // Vacated slots are indistinguishable from never-used ones.
+        assert!(idx
+            .raw_buckets()
+            .all(|(hash, priority, row)| (hash, priority, row) == (EMPTY, 0, 0)));
+        assert!(idx.raw_keys().iter().all(|&l| l == Label(0)));
+        assert_eq!(idx.remove(&[Label(1), Label(2)]), None);
+    }
+
+    #[test]
+    fn replace_rewrites_in_place() {
+        let mut idx = IndexTable::new();
+        idx.register(&[Label(1)], &[vec![]], 10, 0);
+        assert!(idx.replace(&[Label(1)], 4, 7));
+        assert_eq!(idx.probe(&[Label(1)]), Some((4, 7)));
+        assert!(!idx.replace(&[Label(2)], 1, 1));
+        assert_eq!(idx.len(), 1);
     }
 
     #[test]

@@ -350,6 +350,13 @@ fn decode_apps_section(
             rule_keys.push(StoredRule { rule, keys });
         }
         let final_count = r.seq_len(4)?;
+        if final_count != rule_count {
+            // Final row `i` belongs to rule `i`; removal indexes both by it.
+            return Err(malformed(
+                "switch image",
+                format!("{final_count} final rows for {rule_count} rules"),
+            ));
+        }
         let mut final_rule_ids = Vec::with_capacity(final_count);
         for _ in 0..final_count {
             final_rule_ids.push(r.u32()?);
@@ -546,6 +553,7 @@ impl Persistent for MtlSwitch {
                     tables,
                     rule_keys: skeleton.rule_keys,
                     final_rule_ids: skeleton.final_rule_ids,
+                    owners: None,
                 })
                 .collect();
             Ok(MtlSwitch { name, apps, ledger, epoch })

@@ -27,6 +27,7 @@ use crate::actions::{ActionRow, ActionTable};
 use crate::cache::FlowCache;
 use crate::config::{SwitchConfig, TableConfig};
 use crate::engine::{FieldEngine, FieldKey};
+use crate::incremental::Owners;
 use crate::index::IndexTable;
 use crate::update::BuildLedger;
 
@@ -112,9 +113,15 @@ pub struct AppEngine {
     /// Per rule: its field keys per table (for incremental updates and
     /// the update-plan generator).
     pub(crate) rule_keys: Vec<StoredRule>,
-    /// Final-table action row -> originating rule id (rows are allocated
-    /// one per rule, in rule order).
+    /// Final-table action row -> originating rule id. Row `i` belongs to
+    /// `rule_keys[i]`: rows are allocated one per rule, in rule order,
+    /// and an incremental remove deletes both by the same swap.
     pub(crate) final_rule_ids: Vec<u32>,
+    /// Who uses which label and which intermediate combination — what an
+    /// incremental remove needs to know. Derived from the fields above
+    /// on the first remove and kept current by later updates; never
+    /// encoded, and `None` after a build, a decode or a regeneration.
+    pub(crate) owners: Option<Owners>,
 }
 
 impl AppEngine {
@@ -152,12 +159,17 @@ pub struct ClassifyResult {
 
 /// The built switch.
 ///
-/// The switch is `Clone`: a clone is an independent deep **snapshot** of
-/// every engine, index and action table (plus the current epoch), which
-/// is what the `mtl-runtime` control plane publishes to its reader
-/// shards — the master copy mutates through
-/// [`MtlSwitch::add_rule`]/[`MtlSwitch::remove_rule`] while workers keep
-/// classifying against the previously published snapshot.
+/// The switch is `Clone`: a clone is an independent deep copy of every
+/// engine, index and action table (plus the current epoch). The
+/// `mtl-runtime` control plane keeps two such images and alternates
+/// between them — [`MtlSwitch::add_rule`]/[`MtlSwitch::remove_rule`]
+/// edit the one no reader can reach while workers keep classifying
+/// against the published one — so it deep-copies only to create the
+/// second image and when a stalled reader still pins it. Both updates
+/// are deterministic functions of the encoded image
+/// ([`mtl_persist::Persistent`]), which is what keeps the two images,
+/// and a runtime restored from a checkpoint plus its log tail,
+/// byte-identical.
 #[derive(Debug, Clone)]
 pub struct MtlSwitch {
     /// Configuration name.
@@ -814,12 +826,16 @@ pub(crate) fn try_build_app(
                 final_rule_ids.push(rule.id);
                 ledger.action_records += 1;
                 let before = tables[ti].index.len();
-                tables[ti].index.register(
-                    &key,
-                    &shadows,
-                    u32::from(rule_keys[ri].rule.priority),
-                    row,
-                );
+                let priority = u32::from(rule.priority);
+                let index = &mut tables[ti].index;
+                if let Some(holder) = index.register(&key, &shadows, priority, row) {
+                    // Same match, same priority: the lower id answers, a
+                    // choice that outlives rows moving (in-place removes)
+                    // and the application being regenerated.
+                    if rule.id < final_rule_ids[holder as usize] {
+                        index.replace(&key, priority, row);
+                    }
+                }
                 ledger.index_records += tables[ti].index.len() - before;
             } else {
                 let goto = tables[ti]
@@ -845,7 +861,7 @@ pub(crate) fn try_build_app(
         }
     }
 
-    Ok(AppEngine { kind, tables, rule_keys, final_rule_ids })
+    Ok(AppEngine { kind, tables, rule_keys, final_rule_ids, owners: None })
 }
 
 #[cfg(test)]

@@ -17,9 +17,10 @@
 //!   replicated snapshot and its own
 //!   [`classifier_api::FlowCache`]; an RSS-style header-hash dispatcher;
 //!   and the [`runtime::RuntimeHandle`] control plane
-//!   (`add_rule` / `remove_rule` / `swap_table`) applying updates to a
-//!   private master copy and publishing clones — classification never
-//!   blocks on updates.
+//!   (`add_rule` / `remove_rule` / `swap_table`) applying each update
+//!   to the spare of two alternating table images and publishing that —
+//!   classification never blocks on updates, and an update never copies
+//!   the table unless a reader still holds the spare.
 //! * [`telemetry`] — per-shard throughput / hit-rate / latency-percentile
 //!   counters plus fault accounting (panics, restarts, sheds, poison
 //!   recoveries), exported as one JSON block.
@@ -72,7 +73,8 @@ pub use runtime::{
 };
 pub use snapshot::{Snapshot, SnapshotCell, SnapshotReader};
 pub use telemetry::{
-    DurabilityTelemetry, RuntimeTelemetry, ShardCounters, ShardTelemetry, TraceTelemetry,
+    ControlTelemetry, DurabilityTelemetry, RuntimeTelemetry, ShardCounters, ShardTelemetry,
+    TraceTelemetry,
 };
 
 // Re-exported so harnesses can decode flight recordings and consume

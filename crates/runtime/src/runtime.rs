@@ -38,11 +38,28 @@
 //!   on a crashed shard.
 //! * **Control plane** ([`RuntimeHandle::add_rule`],
 //!   [`RuntimeHandle::remove_rule`], [`RuntimeHandle::swap_table`]):
-//!   mutates a private master copy, then publishes a cloned snapshot
-//!   through the [`SnapshotCell`] — readers never block, and the
-//!   publish version *is* every worker's cache epoch (unique and
-//!   strictly monotone per table image), so stale memoised results die
-//!   on the next lookup without any cache walking.
+//!   keeps **two table images** behind `Arc` and alternates between
+//!   them — the one the [`SnapshotCell`] serves, and the one it served
+//!   before, which lags by one logical operation. An update takes the
+//!   lagging image, replays the operation it missed, applies the new
+//!   one and publishes it; the image it replaces becomes the next
+//!   update's spare. The spare is edited in place when nobody else
+//!   holds it ([`Arc::make_mut`]); a reader stalled mid-batch on it
+//!   costs the writer a deep copy, never a wait. Readers never block.
+//!   Each update also puts the rule it added or removed on record (a
+//!   change log, by version), so a shard catching up brings its flow
+//!   cache along: it evicts the entries the changes in between could
+//!   have affected — what an added rule matches, what a removed rule
+//!   was answering — and keeps the rest warm. Without this an updater
+//!   that publishes faster than the shards serve batches (it does, now
+//!   that an update costs microseconds) would have every batch start on
+//!   an empty cache. Back-to-back updates are spaced `UPDATE_INTERVAL`
+//!   apart, which bounds how many versions a shard can fall behind in a
+//!   given time, and so how long a batch the record is sure to cover;
+//!   an update after a pause starts at once. When the record does not
+//!   say (a whole table was swapped in, the shard is far behind, many
+//!   rules were added) the cache goes as a whole, by moving its epoch to
+//!   the publish version (unique and strictly monotone per table image).
 //!
 //! Results come back as a [`ClassifiedBatch`]: the rows in input order
 //! plus, per packet, the **version** of the table that served it — the
@@ -67,7 +84,8 @@ use classifier_api::{
     Admission, BuildError, Classifier, DynamicClassifier, FlowCache, FxHasher, UpdateReport,
 };
 use offilter::Rule;
-use oflow::HeaderValues;
+use oflow::{HeaderValues, MatchFieldKind};
+use std::collections::VecDeque;
 use std::hash::Hasher;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{
@@ -85,7 +103,8 @@ use crate::pin::pin_to_cpu;
 use crate::ring::{spsc, Consumer, Producer};
 use crate::snapshot::{Snapshot, SnapshotCell};
 use crate::telemetry::{
-    DurabilityTelemetry, RuntimeTelemetry, ShardCounters, ShardTelemetry, TraceTelemetry,
+    ControlCounters, DurabilityTelemetry, RuntimeTelemetry, ShardCounters, ShardTelemetry,
+    TraceTelemetry,
 };
 use mtl_persist::{CheckpointMode, PersistError, Persistent, Store, WalOp, FLIGHT_LOG_MAX_BYTES};
 use mtl_trace::{
@@ -469,10 +488,11 @@ pub(crate) struct WorkerSettings {
 /// State shared by the handle(s), the workers, the supervisor and the
 /// runtime owner.
 pub(crate) struct Shared<C> {
-    pub(crate) cell: Arc<SnapshotCell<C>>,
-    /// Control-plane master copy (`None` for data-plane-only runtimes
-    /// built with [`Runtime::new`]).
-    master: Mutex<Option<C>>,
+    pub(crate) cell: Arc<SnapshotCell<Arc<C>>>,
+    /// The control plane's table images (`None` for data-plane-only
+    /// runtimes built with [`Runtime::new`]). The lock serialises
+    /// every update and publish.
+    master: Mutex<Option<Master<C>>>,
     /// One lock per shard ring's producer end: the SPSC invariant needs
     /// submitters serialised *per shard*, and per-shard locks mean a
     /// full ring (back-pressure spin) on one shard never convoys
@@ -492,6 +512,10 @@ pub(crate) struct Shared<C> {
     admission: AdmissionPolicy,
     pub(crate) poison_recoveries: Arc<AtomicU64>,
     ticket_timeouts: Arc<AtomicU64>,
+    /// How publishes and removals were carried out.
+    control: ControlCounters,
+    /// What recent updates changed, for the shards' flow caches.
+    changes: Mutex<ChangeLog>,
     /// Store-side state of a durable runtime (`None` for in-memory
     /// runtimes). Lock order: `master` is always taken before this.
     durable: Option<Mutex<DurableState<C>>>,
@@ -542,7 +566,7 @@ impl<C> Shared<C> {
         lock_count(&self.inflight[shard], &self.poison_recoveries)
     }
 
-    fn lock_master(&self) -> MutexGuard<'_, Option<C>> {
+    fn lock_master(&self) -> MutexGuard<'_, Option<Master<C>>> {
         lock_count(&self.master, &self.poison_recoveries)
     }
 
@@ -659,9 +683,11 @@ impl<C> Shared<C> {
     /// publish fault: a pre-publish delay, a publish *storm* (the same
     /// new table republished a burst of extra times, so replica versions
     /// race ahead while contents stay fixed), or a raised restore flag.
-    fn publish_table(&self, table: C) -> u64
+    /// `how` rides in the `Publish` event's second argument, so a slow
+    /// publish can be told from the timeline to have been a cloned one.
+    fn publish_table(&self, table: Arc<C>, how: PublishKind) -> u64
     where
-        C: Clone + Send + Sync,
+        C: Send + Sync,
     {
         #[cfg(feature = "fault-injection")]
         if let Some(plan) = &self.fault_plan {
@@ -670,27 +696,81 @@ impl<C> Shared<C> {
                 std::thread::sleep(delay);
             }
             for _ in 0..outcome.storm {
-                self.cell.publish(table.clone());
+                self.cell.publish(Arc::clone(&table));
             }
             if outcome.escalate {
                 self.restore_requested.store(true, SeqCst);
             }
         }
         let version = self.cell.publish(table);
-        self.trace_control(EventKind::Publish, version, 0);
+        match how {
+            PublishKind::WholeTable => {}
+            PublishKind::InPlace => {
+                self.control.publishes_in_place.fetch_add(1, Relaxed);
+            }
+            PublishKind::Cloned => {
+                self.control.publishes_cloned.fetch_add(1, Relaxed);
+            }
+        }
+        self.trace_control(EventKind::Publish, version, how as u64);
         version
+    }
+
+    /// Hands out the spare image, caught up with the live one and
+    /// exclusively owned, ready to take the next operation — and says
+    /// whether getting there took a deep copy. The spare leaves
+    /// `master` for the duration: if the operation fails or panics it is
+    /// simply dropped, and the next update starts from a copy of the
+    /// live image instead of from a half-edited one.
+    fn writable_spare(&self, master: &mut Master<C>) -> (Arc<C>, PublishKind)
+    where
+        C: DynamicClassifier + Clone,
+    {
+        // The snapshot that carried the spare may still sit on the
+        // cell's retire list: let go of every reference that no reader
+        // holds, so that what is left says whether one does.
+        self.cell.reclaim();
+        if let Some(Spare { mut image, behind }) = master.spare.take() {
+            let how = match Arc::get_mut(&mut image) {
+                Some(_) => PublishKind::InPlace,
+                None => PublishKind::Cloned,
+            };
+            // A reader stalled on the spare is never waited for: this
+            // copies the image out from under it.
+            let table = Arc::make_mut(&mut image);
+            if behind.is_none_or(|op| matches!(op.apply(table), Ok(Some(_)))) {
+                return (image, how);
+            }
+            // The spare refused what the live image accepted: the two
+            // have diverged, and the live one is the truth.
+        }
+        (Arc::new(C::clone(&master.live)), PublishKind::Cloned)
+    }
+
+    /// Brings a shard's flow cache, whose entries are stamped `epoch` and
+    /// agree with table version `from`, forward to version `to`: evicts
+    /// the entries the rule changes in between could have affected and
+    /// keeps the rest. `false` when the change log cannot say what those
+    /// are — the cache then has to go as a whole.
+    fn carry_over(&self, cache: &mut FlowCache, epoch: u64, from: u64, to: u64) -> bool {
+        let net = lock_count(&self.changes, &self.poison_recoveries).net(from, to);
+        let Some(net) = net else { return false };
+        if !(net.added.is_empty() && net.removed.is_empty()) {
+            cache.evict_where(epoch, |fields, row| net.affects(fields, row));
+        }
+        true
     }
 
     /// Write-ahead: durably appends `op` to the rule log *before* the
     /// master is mutated. `Err` means nothing reached the log — the
     /// caller must reject the update so the live table and the log never
     /// disagree. No-op (always `Ok`) on non-durable runtimes.
-    fn wal_append(&self, op: &LoggedOp<'_>) -> Result<(), BuildError> {
+    fn wal_append(&self, op: &Op) -> Result<(), BuildError> {
         let Some(durable) = &self.durable else { return Ok(()) };
         let mut d = lock_count(durable, &self.poison_recoveries);
-        let payload = match *op {
-            LoggedOp::Add(rule) => WalOp::Add { kind: d.kind, rule: rule.clone() }.encode(),
-            LoggedOp::Remove(rule_id) => WalOp::Remove { rule_id }.encode(),
+        let payload = match op {
+            Op::Add(rule) => WalOp::Add { kind: d.kind, rule: Rule::clone(rule) }.encode(),
+            Op::Remove(rule_id) => WalOp::Remove { rule_id: *rule_id }.encode(),
         };
         #[cfg(feature = "fault-injection")]
         let cut = self.fault_plan.as_ref().and_then(|plan| plan.on_wal_append());
@@ -797,10 +877,211 @@ impl<C> Shared<C> {
     }
 }
 
-/// A control-plane mutation about to be write-ahead logged.
-enum LoggedOp<'a> {
-    Add(&'a Rule),
+/// One logical control-plane operation: what the write-ahead log
+/// records, what the spare image is behind by, and what the change log
+/// tells the shards' flow caches.
+#[derive(Clone)]
+enum Op {
+    Add(Arc<Rule>),
     Remove(u32),
+}
+
+impl Op {
+    /// Applies the operation to `table`. `Ok(None)` is a removal of an
+    /// id the table does not hold, which changes nothing.
+    fn apply<C: DynamicClassifier>(
+        &self,
+        table: &mut C,
+    ) -> Result<Option<UpdateReport>, BuildError> {
+        match self {
+            Op::Add(rule) => table.insert_rule(Rule::clone(rule)).map(Some),
+            Op::Remove(rule_id) => Ok(table.remove_rule(*rule_id)),
+        }
+    }
+}
+
+/// The control plane's two table images.
+struct Master<C> {
+    /// The image being served: the cell's current snapshot holds the
+    /// same `Arc`.
+    live: Arc<C>,
+    /// The image served before it. `None` until the first update makes
+    /// one (booting does not pay for a second image), and again after
+    /// an update that failed.
+    spare: Option<Spare<C>>,
+    /// When the next update may start: [`UPDATE_INTERVAL`] after the one
+    /// before it was let through.
+    next_update: Instant,
+}
+
+impl<C> Master<C> {
+    fn new(live: Arc<C>) -> Self {
+        Self { live, spare: None, next_update: Instant::now() }
+    }
+
+    /// Holds the caller — and with it the master lock — until the next
+    /// update may start, and books the slot after it. Slots sit on a grid
+    /// of [`UPDATE_INTERVAL`] for as long as updates keep coming, so one
+    /// that starts late does not push every later slot back; an update
+    /// that arrives after its slot starts at once. Returns whether the
+    /// caller had to wait.
+    ///
+    /// The wait yields in a loop: it is shorter than the interval, and a
+    /// timer is no good at that scale (a sleeping thread wakes 50 us and
+    /// more past its deadline on Linux, half a slot).
+    fn await_slot(&mut self) -> bool {
+        let now = Instant::now();
+        let slot = self.next_update;
+        self.next_update = slot.max(now) + UPDATE_INTERVAL;
+        if slot <= now {
+            return false;
+        }
+        while Instant::now() < slot {
+            std::thread::yield_now();
+        }
+        true
+    }
+}
+
+/// The least time between the starts of two rule updates: back-to-back
+/// updates are spaced this far apart, an update after a pause is not held
+/// up at all. An in-place update is some 15 us of work on the benchmark's
+/// 4.7 k-rule table; a loop around `add_rule`/`remove_rule` would put
+/// 60 k versions a second in front of the shards, at a rate that follows
+/// the host's mood (7-10 % from one run of the benchmark to the next).
+/// Spaced, the rate such a loop sees is the runtime's own, 10 000 updates
+/// a second, and the [`CHANGE_LOG_VERSIONS`] on record reach back 25 ms or
+/// more *whatever the updater does*, so a shard is sure to keep its flow
+/// cache across any batch shorter than that. A durable update spends
+/// about this long in its WAL fsync on the benchmark's host (70-140 us)
+/// and rarely finds its slot still closed.
+const UPDATE_INTERVAL: Duration = Duration::from_micros(100);
+
+struct Spare<C> {
+    image: Arc<C>,
+    /// The operation the live image has seen and this one has not.
+    behind: Option<Op>,
+}
+
+/// How a published image came to be; the `Publish` event's second
+/// argument.
+#[derive(Clone, Copy)]
+enum PublishKind {
+    /// A whole new table (`swap_table`, a restore that found the disk
+    /// ahead of memory).
+    WholeTable = 0,
+    /// The spare was exclusively ours and was edited in place.
+    InPlace = 1,
+    /// The spare had to be deep-copied first: it did not exist yet, a
+    /// reader still held it, or it had diverged.
+    Cloned = 2,
+}
+
+/// Versions the change log remembers; a shard further behind drops its
+/// flow cache instead of bringing it forward. Updates start at least
+/// [`UPDATE_INTERVAL`] apart, so 256 versions are the last 25 ms or more;
+/// the benchmark's shards take a 4 096-packet batch every 0.5 ms
+/// (`churn`: 2 k batches/s) and fall some five versions behind an
+/// updater in a loop. It also caps the removed ids one
+/// walk checks every entry against, at 128 (an updater that removes what
+/// it added): 6 us a walk (`cache_walk_costs`), where dropping the cache
+/// costs the 512 flows of that traffic 220 us per batch
+/// (`churn/lat_p50_us` 385 vs 168 us, CHANGES.md PR 16).
+const CHANGE_LOG_VERSIONS: usize = 256;
+
+/// Added rules one walk checks every entry against; with more (not
+/// counting those removed again) the shard drops its flow cache instead.
+/// `cache_walk_costs` on this host: matching one resident entry against
+/// one rule costs 4-9 ns, getting a lost entry back (a miss, a
+/// classification, an insert) from 208 ns on a 48-rule table to 425 ns on
+/// the benchmark's 4.7 k rules — so a walk stops paying somewhere past 20
+/// rules.
+const NET_ADDS_MAX: usize = 16;
+
+/// What each recent update changed, by the version that made it visible.
+/// A rule update changes the answer only for packets the rule matches
+/// (an addition) or was answering for (a removal) — the [`Classifier`]
+/// contract: answers are `reference_classify`'s — so a shard that knows
+/// the changes between the version its flow cache agrees with and the
+/// one it is about to serve evicts exactly those entries and keeps the
+/// rest warm.
+struct ChangeLog {
+    /// Version whose change is `ops[0]`.
+    first: u64,
+    ops: VecDeque<Op>,
+}
+
+impl ChangeLog {
+    /// `version` is about to be published, and differs from the version
+    /// before it by `op`. A version published without passing through
+    /// here (a whole new table) leaves a gap, and the record starts over
+    /// behind it: nothing is known across a gap.
+    fn record(&mut self, version: u64, op: Op) {
+        if version != self.first + self.ops.len() as u64 {
+            self.ops.clear();
+            self.first = version;
+        }
+        self.ops.push_back(op);
+        if self.ops.len() > CHANGE_LOG_VERSIONS {
+            self.ops.pop_front();
+            self.first += 1;
+        }
+    }
+
+    /// The net effect of versions `from + 1 ..= to`; `None` when the log
+    /// does not cover them all, or more rules were added than a walk is
+    /// worth.
+    fn net(&self, from: u64, to: u64) -> Option<NetChange> {
+        let mut net = NetChange::default();
+        if from >= to {
+            return Some(net);
+        }
+        let lo = usize::try_from((from + 1).checked_sub(self.first)?).ok()?;
+        let hi = usize::try_from(to - self.first).ok()?;
+        if hi >= self.ops.len() {
+            return None;
+        }
+        for op in self.ops.range(lo..=hi) {
+            match op {
+                Op::Add(rule) => net.added.push(Arc::clone(rule)),
+                // A removal takes every rule of that id along
+                // ([`DynamicClassifier::remove_rule`]): one added inside
+                // the window never answered for an entry from before it,
+                // one stored before the window may have.
+                Op::Remove(id) => {
+                    net.added.retain(|rule| rule.id != *id);
+                    net.removed.push(*id);
+                }
+            }
+        }
+        (net.added.len() <= NET_ADDS_MAX).then_some(net)
+    }
+}
+
+/// Rules added and rule ids removed between two versions.
+#[derive(Default)]
+struct NetChange {
+    added: Vec<Arc<Rule>>,
+    removed: Vec<u32>,
+}
+
+impl NetChange {
+    /// Whether a memoised answer for a packet with these header fields
+    /// may no longer hold: a removed rule was giving it, or an added one
+    /// matches the packet and may now give it.
+    fn affects(&self, fields: &[(MatchFieldKind, u128)], row: Option<u32>) -> bool {
+        // (`FlowMatch::matches`, over a header's fields without the header.)
+        let matches = |rule: &Rule| {
+            rule.flow_match.parts().iter().all(|(field, m)| {
+                m.is_wildcard()
+                    || fields
+                        .binary_search_by_key(field, |(f, _)| *f)
+                        .is_ok_and(|i| m.matches(fields[i].1, field.bit_width()))
+            })
+        };
+        row.is_some_and(|id| self.removed.contains(&id))
+            || self.added.iter().any(|rule| matches(rule))
+    }
 }
 
 /// RSS-style shard selection: hash of the header's full field tuple, so
@@ -842,7 +1123,7 @@ impl<C: Classifier + 'static> RuntimeHandle<C> {
 
     /// The current published snapshot (control-plane path).
     #[must_use]
-    pub fn latest(&self) -> Arc<Snapshot<C>> {
+    pub fn latest(&self) -> Arc<Snapshot<Arc<C>>> {
         self.shared.cell.latest()
     }
 
@@ -986,30 +1267,28 @@ impl<C: Classifier + 'static> RuntimeHandle<C> {
     /// Publishes a brand-new table, replacing whatever is being served
     /// **and** the control-plane master (single O(1) swap for readers).
     /// Returns the new version.
-    pub fn swap_table(&self, table: C) -> u64
-    where
-        C: Clone,
-    {
+    pub fn swap_table(&self, table: C) -> u64 {
         let span = self.shared.span_begin(SpanOp::SwapTable);
         let mut master = self.shared.lock_master();
-        *master = Some(table.clone());
-        let version = self.shared.publish_table(table);
+        let live = Arc::new(table);
+        *master = Some(Master::new(Arc::clone(&live)));
+        let version = self.shared.publish_table(Arc::clone(&live), PublishKind::WholeTable);
         // A whole-table swap is not expressible as WAL records, so on a
         // durable runtime it checkpoints immediately: the snapshot's
         // watermark fences off the pre-swap WAL tail.
-        if let Some(t) = master.as_ref() {
-            self.shared.maybe_checkpoint(t, true);
-        }
+        self.shared.maybe_checkpoint(&live, true);
         drop(master);
         self.shared.span_end(span, version);
         version
     }
 
-    /// Adds one rule through the control plane: mutates the master copy
-    /// off the hot path, then publishes a new snapshot. Returns the
-    /// update report and the version at which the rule is visible.
-    /// A master lock poisoned by an earlier panic is recovered (and
-    /// counted), never propagated.
+    /// Adds one rule through the control plane: edits the spare table
+    /// image off the hot path, then publishes it. Returns the update
+    /// report and the version at which the rule is visible. A master
+    /// lock poisoned by an earlier panic is recovered (and counted),
+    /// never propagated — and since a panicking update only ever touched
+    /// the unpublished spare, which is dropped, the table being served is
+    /// the one from before it.
     ///
     /// # Errors
     /// [`BuildError::InvalidConfig`] when the runtime was built without
@@ -1024,66 +1303,79 @@ impl<C: Classifier + 'static> RuntimeHandle<C> {
         C: DynamicClassifier + Clone,
     {
         let span = self.shared.span_begin(SpanOp::AddRule);
-        let result = self.add_rule_inner(rule);
+        let result =
+            self.update(Op::Add(Arc::new(rule))).map(|done| done.expect("an add is never a no-op"));
         self.shared.span_end(span, result.as_ref().map_or(0, |&(_, v)| v));
         result
     }
 
-    fn add_rule_inner(&self, rule: Rule) -> Result<(UpdateReport, u64), BuildError>
+    /// The one update path: log `op`, apply it to the spare image (after
+    /// the operation the spare is behind by), publish the spare, and keep
+    /// the image it replaces as the next spare. `Ok(None)` is a removal
+    /// of an id the table does not hold: logged, nothing published.
+    fn update(&self, op: Op) -> Result<Option<(UpdateReport, u64)>, BuildError>
     where
         C: DynamicClassifier + Clone,
     {
-        let mut master = self.shared.lock_master();
-        if master.is_none() {
+        let shared = &*self.shared;
+        let mut guard = shared.lock_master();
+        let Some(master) = guard.as_mut() else {
             return Err(BuildError::InvalidConfig {
                 detail: "runtime has no control-plane master (built with Runtime::new; \
                          use Runtime::with_control)"
                     .into(),
             });
+        };
+        if master.await_slot() {
+            shared.control.updates_paced.fetch_add(1, Relaxed);
         }
-        // Write-ahead: the rule reaches the durable log before the
-        // master mutates. A torn append rejects the whole update.
-        self.shared.wal_append(&LoggedOp::Add(&rule))?;
-        let table = master.as_mut().expect("checked above");
-        let report = table.insert_rule(rule)?;
-        let version = self.shared.publish_table(table.clone());
-        self.shared.maybe_checkpoint(table, false);
-        Ok((report, version))
+        // Write-ahead: the operation reaches the durable log before any
+        // image changes. A torn append rejects the whole update.
+        shared.wal_append(&op)?;
+        let (mut image, how) = shared.writable_spare(master);
+        let table = Arc::get_mut(&mut image).expect("the writable spare is exclusively owned");
+        let Some(report) = op.apply(table)? else {
+            master.spare = Some(Spare { image, behind: None });
+            return Ok(None);
+        };
+        if matches!(op, Op::Remove(_)) {
+            let control = &shared.control;
+            let counter = match report.rebuilt {
+                true => &control.removes_rebuilt,
+                false => &control.removes_incremental,
+            };
+            counter.fetch_add(1, Relaxed);
+            control.compactions.fetch_add(u64::from(report.compacted), Relaxed);
+        }
+        let previous = std::mem::replace(&mut master.live, image);
+        // On record before a shard can see the version (the master lock
+        // is what makes the next version predictable).
+        lock_count(&shared.changes, &shared.poison_recoveries)
+            .record(shared.cell.version() + 1, op.clone());
+        let version = shared.publish_table(Arc::clone(&master.live), how);
+        master.spare = Some(Spare { image: previous, behind: Some(op) });
+        shared.maybe_checkpoint(&master.live, false);
+        Ok(Some((report, version)))
     }
 
     /// Removes a rule by id through the control plane; `None` when no
     /// such rule is stored. Returns the update report and the version at
     /// which the removal is visible.
     ///
-    /// On a durable runtime the removal is write-ahead logged before the
-    /// master mutates; a torn append rejects the removal (returns
+    /// On a durable runtime the removal is write-ahead logged before any
+    /// image changes; a torn append rejects the removal (returns
     /// `None`, counted in the durability telemetry as an append
     /// failure). A logged removal of an id the table does not hold is a
-    /// harmless no-op on replay.
-    ///
-    /// # Panics
-    /// Panics if the runtime was built without a control-plane master.
+    /// harmless no-op on replay. A runtime built without a control-plane
+    /// master ([`Runtime::new`]) stores no rules to remove: `None`.
     pub fn remove_rule(&self, rule_id: u32) -> Option<(UpdateReport, u64)>
     where
         C: DynamicClassifier + Clone,
     {
         let span = self.shared.span_begin(SpanOp::RemoveRule);
-        let result = self.remove_rule_inner(rule_id);
+        let result = self.update(Op::Remove(rule_id)).ok().flatten();
         self.shared.span_end(span, result.as_ref().map_or(0, |&(_, v)| v));
         result
-    }
-
-    fn remove_rule_inner(&self, rule_id: u32) -> Option<(UpdateReport, u64)>
-    where
-        C: DynamicClassifier + Clone,
-    {
-        let mut master = self.shared.lock_master();
-        let table = master.as_mut().expect("runtime has no control-plane master");
-        self.shared.wal_append(&LoggedOp::Remove(rule_id)).ok()?;
-        let report = table.remove_rule(rule_id)?;
-        let version = self.shared.publish_table(table.clone());
-        self.shared.maybe_checkpoint(table, false);
-        Some((report, version))
     }
 
     /// Snapshots every shard's counters.
@@ -1102,6 +1394,7 @@ impl<C: Classifier + 'static> RuntimeHandle<C> {
             shards: self.shared.shards,
             poison_recoveries: self.shared.poison_recoveries.load(Relaxed),
             ticket_timeouts: self.shared.ticket_timeouts.load(Relaxed),
+            control: self.shared.control.capture(),
             durability: store_view.map(|(stats, disk)| DurabilityTelemetry {
                 wal_appends: d.wal_appends.load(Relaxed),
                 wal_append_failures: d.wal_append_failures.load(Relaxed),
@@ -1210,7 +1503,7 @@ impl<C: Classifier + 'static> RuntimeHandle<C> {
     #[must_use]
     pub fn master_image(&self) -> Option<Vec<u8>> {
         let master = self.shared.lock_master();
-        let table = master.as_ref()?;
+        let table = &master.as_ref()?.live;
         let durable = self.shared.durable.as_ref()?;
         let d = lock_count(durable, &self.shared.poison_recoveries);
         Some((d.encode)(table))
@@ -1222,7 +1515,7 @@ impl<C: Classifier + 'static> RuntimeHandle<C> {
     /// what makes torn-checkpoint chaos scriptable).
     pub fn checkpoint_now(&self) -> Option<u64> {
         let master = self.shared.lock_master();
-        let table = master.as_ref()?;
+        let table = &master.as_ref()?.live;
         self.shared.durable.as_ref()?;
         self.shared.maybe_checkpoint(table, true);
         let durable = self.shared.durable.as_ref()?;
@@ -1249,20 +1542,17 @@ impl<C: Classifier + 'static> Runtime<C> {
     /// runtime built [`Runtime::with_control`]).
     #[must_use]
     pub fn new(classifier: C, config: &RuntimeConfig) -> Self {
-        Self::build(classifier, None, config, None)
+        Self::build(classifier, false, config, None)
     }
 
-    /// Starts a runtime with a control plane: `classifier` is cloned
-    /// into the published snapshot, the original becomes the mutable
-    /// master behind [`RuntimeHandle::add_rule`] /
-    /// [`RuntimeHandle::remove_rule`] / [`RuntimeHandle::swap_table`].
+    /// Starts a runtime with a control plane: `classifier` is published
+    /// as it is, and [`RuntimeHandle::add_rule`] /
+    /// [`RuntimeHandle::remove_rule`] / [`RuntimeHandle::swap_table`]
+    /// update it. The second table image the control plane alternates
+    /// with is made by the first update, not here.
     #[must_use]
-    pub fn with_control(classifier: C, config: &RuntimeConfig) -> Self
-    where
-        C: Clone,
-    {
-        let snapshot = classifier.clone();
-        Self::build(snapshot, Some(classifier), config, None)
+    pub fn with_control(classifier: C, config: &RuntimeConfig) -> Self {
+        Self::build(classifier, true, config, None)
     }
 
     /// Starts a **durable** control-plane runtime backed by a
@@ -1373,11 +1663,12 @@ impl<C: Classifier + 'static> Runtime<C> {
                     // and under the master lock, which serializes every
                     // control-plane publish.
                     let identical =
-                        master.as_ref().is_some_and(|live| encode(live) == encode(&table));
+                        master.as_ref().is_some_and(|m| encode(&m.live) == encode(&table));
                     drop(d);
                     if !identical {
-                        *master = Some(table.clone());
-                        shared.cell.publish(table);
+                        let live = Arc::new(table);
+                        *master = Some(Master::new(Arc::clone(&live)));
+                        shared.cell.publish(live);
                     }
                     drop(master);
                 }
@@ -1390,13 +1681,8 @@ impl<C: Classifier + 'static> Runtime<C> {
                 }
             }
         });
-        let snapshot = master.clone();
-        let runtime = Self::build(
-            snapshot,
-            Some(master),
-            config,
-            Some(DurableParts { state, rebuild, escalation }),
-        );
+        let runtime =
+            Self::build(master, true, config, Some(DurableParts { state, rebuild, escalation }));
         runtime.handle.shared.durability.absorb_report(&report);
         runtime.handle.shared.trace_control(
             EventKind::Boot,
@@ -1414,12 +1700,14 @@ impl<C: Classifier + 'static> Runtime<C> {
 
     fn build(
         classifier: C,
-        master: Option<C>,
+        control: bool,
         config: &RuntimeConfig,
         durable: Option<DurableParts<C>>,
     ) -> Self {
         let shards = config.shards.max(1);
-        let cell = Arc::new(SnapshotCell::new(classifier));
+        let live = Arc::new(classifier);
+        let master = control.then(|| Master::new(Arc::clone(&live)));
+        let cell = Arc::new(SnapshotCell::new(live));
         let poison_recoveries = Arc::new(AtomicU64::new(0));
         let mut producers = Vec::with_capacity(shards);
         let mut consumers = Vec::with_capacity(shards);
@@ -1460,6 +1748,8 @@ impl<C: Classifier + 'static> Runtime<C> {
             admission: config.admission,
             poison_recoveries,
             ticket_timeouts: Arc::new(AtomicU64::new(0)),
+            control: ControlCounters::default(),
+            changes: Mutex::new(ChangeLog { first: 0, ops: VecDeque::new() }),
             durable: durable_state,
             durability: Arc::new(DurabilityCounters::default()),
             rebuild_master,
@@ -1694,7 +1984,20 @@ fn worker_loop<C: Classifier + 'static>(
         // (rounding-aware) capacities before any traffic arrives.
         counters.record_cache(&cache.stats());
     }
-    let mut snap = reader.load();
+    // The replicated snapshot, and the version it was at: the worker
+    // lets go of the snapshot whenever it parks, so that an idle shard
+    // never pins a table image the control plane wants back.
+    let first = reader.load();
+    let mut version = first.version;
+    // The flow cache's entries are stamped `epoch`: the publish version
+    // at which the cache last went as a whole. Versions are unique and
+    // strictly monotone per table image, so a dropped row is never
+    // revived. (Folding the table's own `generation()` in would *break*
+    // this: version and generation move in lockstep under add/remove,
+    // and a `swap_table` to a lower-generation table could then
+    // reproduce an old epoch and revive that epoch's stale entries.)
+    let mut epoch = version;
+    let mut held = Some(first);
     let mut spins = 0u32;
     // The runtime epoch this worker belongs to. A restore bumps the
     // epoch *after* swapping in fresh rings; a worker that observes a
@@ -1718,6 +2021,7 @@ fn worker_loop<C: Classifier + 'static>(
             if spins < 64 {
                 std::hint::spin_loop();
             } else {
+                held = None;
                 counters.idle_parks.fetch_add(1, Relaxed);
                 doorbell.park(Duration::from_millis(1));
             }
@@ -1758,25 +2062,27 @@ fn worker_loop<C: Classifier + 'static>(
             }
         }
         // Refresh the replicated snapshot between jobs only: one job =
-        // one table generation.
-        if reader.cell().version() != snap.version {
-            let prev = snap.version;
-            snap = reader.load();
+        // one table generation. (Re-acquiring the unchanged snapshot
+        // after a park is not a refresh.)
+        if held.as_ref().is_some_and(|s| reader.cell().version() != s.version) {
+            held = None;
+        }
+        let snap = held.get_or_insert_with(|| reader.load());
+        if snap.version != version {
+            let prev = std::mem::replace(&mut version, snap.version);
             counters.snapshot_refreshes.fetch_add(1, Relaxed);
             shared.trace_shard(cfg.shard, EventKind::SnapshotRefresh, snap.version, prev);
-            // The cache epoch tracks the publish version (see below),
-            // so a refresh is also the shard's cache-generation bump.
-            shared.trace_shard(cfg.shard, EventKind::CacheEpochBump, snap.version, 0);
+            // The flow cache comes along, less what the rule changes in
+            // between could have affected — or not at all, when those
+            // are not on record (a whole new table, a shard far behind).
+            let kept =
+                cache.as_mut().is_some_and(|c| shared.carry_over(c, epoch, prev, snap.version));
+            if !kept {
+                epoch = snap.version;
+                shared.trace_shard(cfg.shard, EventKind::CacheEpochBump, epoch, 0);
+            }
         }
         let started = Instant::now();
-        // The cache epoch is the snapshot's publish version, alone: it
-        // is unique and strictly monotone per table image, so a cached
-        // row can never be served across a publish. (Folding the
-        // table's own `generation()` in would *break* this: version
-        // and generation move in lockstep under add/remove, and a
-        // `swap_table` to a lower-generation table could then reproduce
-        // an old epoch and revive that epoch's stale entries.)
-        let epoch = snap.version;
         let Job { headers, idx, shard: shard_id, submitted, reply, .. } = job;
         let mut rows: Vec<Option<u32>> = Vec::with_capacity(idx.len());
         // Sample the thread-local allocation counter strictly around the
@@ -1873,12 +2179,16 @@ mod tests {
     impl DynamicClassifier for Scan {
         fn insert_rule(&mut self, rule: Rule) -> Result<UpdateReport, BuildError> {
             self.0.push(rule);
-            Ok(UpdateReport { records: 1, rebuilt: false })
+            Ok(UpdateReport { records: 1, rebuilt: false, compacted: false })
         }
         fn remove_rule(&mut self, rule_id: u32) -> Option<UpdateReport> {
             let before = self.0.len();
             self.0.retain(|r| r.id != rule_id);
-            (self.0.len() < before).then_some(UpdateReport { records: 1, rebuilt: false })
+            (self.0.len() < before).then_some(UpdateReport {
+                records: 1,
+                rebuilt: false,
+                compacted: false,
+            })
         }
     }
 
@@ -2074,15 +2384,40 @@ mod tests {
         let rt = Runtime::new(Scan(rules()), &quick_config(1));
         let err = rt.add_rule(route(9, 1, 0, 0, 9)).unwrap_err();
         assert!(matches!(err, BuildError::InvalidConfig { .. }), "{err:?}");
+        // No master stores no rules: a removal finds nothing, even for
+        // an id the served table holds (this used to panic).
+        assert!(rt.remove_rule(0).is_none());
+        assert_eq!(rt.version(), 1, "nothing was published");
+        assert_eq!(rt.telemetry().control, crate::ControlTelemetry::default());
     }
 
     #[test]
     fn concurrent_classification_and_churn_matches_versioned_oracle() {
-        let rt = Runtime::with_control(Scan(rules()), &quick_config(3));
+        let hold = Arc::new(AtomicBool::new(false));
+        let entered = Arc::new(AtomicU64::new(0));
+        let gate = Gate { rules: rules(), hold: Arc::clone(&hold), entered: Arc::clone(&entered) };
+        let rt = Runtime::with_control(gate, &quick_config(3));
         let handle = rt.handle();
         // Version → rule set at that version.
         let log = Mutex::new(vec![(1u64, rules())]);
         let hs = headers(128);
+        let verify = |out: &ClassifiedBatch, hs: &[HeaderValues]| {
+            let snapshot_log = log.lock().unwrap().clone();
+            for (i, (&row, &version)) in out.rows.iter().zip(&out.versions).enumerate() {
+                let rules_at = &snapshot_log
+                    .iter()
+                    .rev()
+                    .find(|(v, _)| *v <= version)
+                    .expect("every served version has a log entry")
+                    .1;
+                let want = reference_classify(rules_at, &hs[i]);
+                assert_eq!(row, want, "packet {i} at version {version}");
+            }
+        };
+        // Round 20 of the churn runs against wedged readers: 0 = free
+        // running, 1 = the churn asks for them, 2 = they are wedged.
+        let stall = AtomicU64::new(0);
+        let done = AtomicBool::new(false);
         std::thread::scope(|scope| {
             let churn = scope.spawn(|| {
                 // Single publisher: versions are predictable, and each
@@ -2091,6 +2426,13 @@ mod tests {
                 let mut rs = rules();
                 let mut next_version = 2u64;
                 for round in 0..40u32 {
+                    if round == 20 {
+                        stall.store(1, SeqCst);
+                        while stall.load(SeqCst) != 2 {
+                            std::thread::yield_now();
+                        }
+                    }
+                    let cloned_before = handle.telemetry().control.publishes_cloned;
                     let rule = route(100 + round, 1 + u128::from(round % 4), 0, 0, 90 + round);
                     rs.push(rule.clone());
                     log.lock().unwrap().push((next_version, rs.clone()));
@@ -2104,28 +2446,44 @@ mod tests {
                         assert_eq!(v, next_version);
                         next_version += 1;
                     }
+                    if round == 20 {
+                        // The wedged readers hold the image that was
+                        // live when they loaded it. The add above took
+                        // the other one; the remove then found its spare
+                        // pinned and copied it out from under them — it
+                        // returned, so it did not wait for them.
+                        let cloned = handle.telemetry().control.publishes_cloned;
+                        assert_eq!(cloned, cloned_before + 1, "a pinned spare is cloned");
+                        hold.store(false, SeqCst);
+                        stall.store(0, SeqCst);
+                    }
                     std::thread::yield_now();
                 }
+                done.store(true, SeqCst);
             });
-            for _ in 0..60 {
-                let out = rt.classify_batch(&hs);
-                let snapshot_log = log.lock().unwrap().clone();
-                for (i, (&row, &version)) in out.rows.iter().zip(&out.versions).enumerate() {
-                    let rules_at = &snapshot_log
-                        .iter()
-                        .rev()
-                        .find(|(v, _)| *v <= version)
-                        .expect("every served version has a log entry")
-                        .1;
-                    assert_eq!(
-                        row,
-                        reference_classify(rules_at, &hs[i]),
-                        "packet {i} at version {version}"
-                    );
+            // Headers no flow cache has seen: they must be classified.
+            let fresh: Vec<HeaderValues> = headers(256).split_off(128);
+            let mut batches = 0;
+            while batches < 60 || !done.load(SeqCst) {
+                if stall.load(SeqCst) == 1 {
+                    // Nothing else is in flight, so every `classify`
+                    // entered from here on belongs to this batch, and
+                    // finds the gate shut.
+                    let before = entered.load(SeqCst);
+                    hold.store(true, SeqCst);
+                    let ticket = rt.submit(fresh.clone().into());
+                    wait_until(&entered, before + 1);
+                    stall.store(2, SeqCst);
+                    verify(&ticket.wait(), &fresh);
                 }
+                batches += 1;
+                verify(&rt.classify_batch(&hs), &hs);
             }
             churn.join().unwrap();
         });
+        let control = rt.telemetry().control;
+        assert_eq!(control.publishes_in_place + control.publishes_cloned, 60);
+        assert!(control.publishes_in_place > control.publishes_cloned, "{control:?}");
     }
 
     // ---- fault-tolerance surface -------------------------------------
@@ -2158,6 +2516,22 @@ mod tests {
         }
         fn build_records(&self) -> usize {
             self.rules.len()
+        }
+    }
+
+    impl DynamicClassifier for Gate {
+        fn insert_rule(&mut self, rule: Rule) -> Result<UpdateReport, BuildError> {
+            self.rules.push(rule);
+            Ok(UpdateReport { records: 1, rebuilt: false, compacted: false })
+        }
+        fn remove_rule(&mut self, rule_id: u32) -> Option<UpdateReport> {
+            let before = self.rules.len();
+            self.rules.retain(|r| r.id != rule_id);
+            (self.rules.len() < before).then_some(UpdateReport {
+                records: 1,
+                rebuilt: false,
+                compacted: false,
+            })
         }
     }
 
@@ -2232,11 +2606,12 @@ mod tests {
         }
         impl DynamicClassifier for FlakyInsert {
             fn insert_rule(&mut self, rule: Rule) -> Result<UpdateReport, BuildError> {
+                // Torn on purpose: the rule is stored, then the update dies.
+                self.rules.push(rule);
                 if self.armed.swap(false, SeqCst) {
                     panic!("injected control-plane panic");
                 }
-                self.rules.push(rule);
-                Ok(UpdateReport { records: 1, rebuilt: false })
+                Ok(UpdateReport { records: 1, rebuilt: false, compacted: false })
             }
             fn remove_rule(&mut self, _rule_id: u32) -> Option<UpdateReport> {
                 None
@@ -2248,12 +2623,23 @@ mod tests {
             FlakyInsert { rules: rules(), armed: Arc::clone(&armed) },
             &quick_config(2),
         );
+        let h = HeaderValues::new()
+            .with(MatchFieldKind::InPort, 1)
+            .with(MatchFieldKind::Ipv4Dst, 0x0A01_0203u128);
         let boom = catch_unwind(AssertUnwindSafe(|| rt.add_rule(route(9, 1, 0, 0, 9))));
         assert!(boom.is_err(), "the injected panic propagates to the updater");
+        // The torn image was the unpublished spare, and it is gone: the
+        // table being served never saw rule 9.
+        assert_eq!(rt.version(), 1);
+        assert_eq!(rt.classify_rows(std::slice::from_ref(&h)), vec![Some(1)]);
         // The master lock is now poisoned; the next update recovers it
-        // instead of cascading the failure.
-        let (_, v) = rt.add_rule(route(9, 1, 0, 0, 9)).expect("recovered master accepts updates");
+        // instead of cascading the failure — and starts from a copy of
+        // the served table, so the torn rule does not come back with it.
+        let (_, v) = rt.add_rule(route(8, 3, 0x0A01_0200, 24, 8)).expect("recovered master");
         assert_eq!(v, 2);
+        assert_eq!(rt.classify_rows(std::slice::from_ref(&h)), vec![Some(1)]);
+        assert_eq!(rt.latest().value.rules.len(), rules().len() + 1);
+        assert_eq!(rt.telemetry().control.publishes_cloned, 1);
         let t = rt.telemetry();
         assert!(t.poison_recoveries >= 1, "recovery is counted: {}", t.poison_recoveries);
         assert!(t.to_json().contains("\"poison_recoveries\""));
@@ -2541,6 +2927,365 @@ mod tests {
         assert_eq!(out.rows, want);
     }
 
+    // ---- the two table images ----------------------------------------
+
+    use mtl_core::MtlSwitch;
+
+    /// 48 nested routes over three ports: few enough live labels that a
+    /// handful of flaps crosses the switch's garbage bound.
+    fn switch() -> MtlSwitch {
+        let mut rules = Vec::new();
+        for port in 1..=3u128 {
+            for net in 0..4u128 {
+                let base = 0x0A00_0000 + (net << 16);
+                for (len, low) in [(16, 0u128), (20, 0x3000), (24, 0x3300), (28, 0x3340)] {
+                    let id = rules.len() as u32;
+                    rules.push(route(id, port, base + low, len, 100 + id));
+                }
+            }
+        }
+        let set = FilterSet::preserving_ids("two-images", offilter::FilterKind::Routing, rules);
+        <MtlSwitch as ClassifierBuilder>::try_build(&set).expect("switch builds")
+    }
+
+    /// Flap `i`: a fresh /24 that comes and goes, leaving labels behind.
+    fn flap(i: u32) -> Rule {
+        route(5000 + i, 1 + u128::from(i % 3), 0x0B00_0000 + (u128::from(i) << 8), 24, 1)
+    }
+
+    /// Returns once every shard has parked again (nothing is in flight).
+    fn wait_parked<C: Classifier + 'static>(rt: &RuntimeHandle<C>) {
+        let parks = |rt: &RuntimeHandle<C>| -> Vec<u64> {
+            rt.telemetry().per_shard.iter().map(|s| s.idle_parks).collect()
+        };
+        let before = parks(rt);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while parks(rt).iter().zip(&before).any(|(now, then)| now <= then) {
+            assert!(Instant::now() < deadline, "idle workers never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn live_and_spare_images_stay_byte_identical() {
+        let rt = Runtime::with_control(switch(), &quick_config(2));
+        // The spare lags by one operation; caught up, it is the live
+        // image to the byte — through in-place removes, compactions and
+        // a removal that finds nothing.
+        let check = |step: u32| {
+            let guard = rt.shared.lock_master();
+            let master = guard.as_ref().expect("control-plane runtime");
+            let spare = master.spare.as_ref().expect("an update leaves a spare behind");
+            let mut caught_up = MtlSwitch::clone(&spare.image);
+            if let Some(op) = &spare.behind {
+                op.apply(&mut caught_up).expect("the live image accepted it");
+            }
+            assert_eq!(caught_up.encode_image(), master.live.encode_image(), "step {step}");
+        };
+        for i in 0..40u32 {
+            rt.add_rule(flap(i)).expect("flap inserts");
+            check(i);
+            // Mostly the flap goes again; now and then a seed rule does.
+            let victim = if i % 7 == 6 { i / 7 } else { 5000 + i };
+            rt.remove_rule(victim).expect("stored");
+            check(i);
+            assert!(rt.remove_rule(victim).is_none());
+            check(i);
+        }
+        let control = rt.telemetry().control;
+        assert!(control.compactions >= 2, "the sequence crosses compactions: {control:?}");
+        assert_eq!(control.removes_incremental + control.removes_rebuilt, 40);
+        assert_eq!(control.removes_rebuilt, control.compactions, "no range engine here");
+        // Nothing but the control plane ever held the spare: one copy to
+        // create it, every later update in place.
+        assert_eq!((control.publishes_cloned, control.publishes_in_place), (1, 79));
+        assert_eq!(control.publish_stall(), 1.0 / 80.0);
+    }
+
+    #[test]
+    fn idle_shards_pin_no_table_image() {
+        let rt = Runtime::with_control(Scan(rules()), &quick_config(3));
+        let hs = headers(64);
+        assert!(rt.classify_batch(&hs).fully_delivered());
+        wait_parked(&rt);
+        // Replaced with no traffic to make the shards look: the old
+        // image has to go on the spot, not when a packet next arrives.
+        let old = Arc::downgrade(&rt.latest().value);
+        rt.swap_table(Scan(vec![route(77, 1, 0, 0, 7)]));
+        assert!(old.upgrade().is_none(), "a parked shard still holds the replaced image");
+        assert_eq!(rt.shared.cell.retired_len(), 0);
+        // Likewise the spare: with the shards idle every update after
+        // the first finds it exclusively owned.
+        for i in 0..6u32 {
+            rt.add_rule(route(200 + i, 2, 0, 0, 9)).unwrap();
+        }
+        let control = rt.telemetry().control;
+        assert_eq!((control.publishes_cloned, control.publishes_in_place), (1, 5));
+        let guard = rt.shared.lock_master();
+        let spare = &guard.as_ref().unwrap().spare.as_ref().unwrap().image;
+        assert_eq!(Arc::strong_count(spare), 1);
+    }
+
+    #[test]
+    fn back_to_back_updates_are_spaced_and_one_after_a_pause_is_not() {
+        let rt = Runtime::with_control(Scan(rules()), &quick_config(1));
+        std::thread::sleep(2 * UPDATE_INTERVAL);
+        let start = Instant::now();
+        for i in 0..10u32 {
+            rt.add_rule(route(300 + i, 2, 0, 0, 9)).unwrap();
+            rt.remove_rule(300 + i).expect("stored");
+        }
+        // The first of the twenty found its slot long open; any other
+        // may have, on a host that kept this thread off the CPU.
+        assert!(start.elapsed() >= 19 * UPDATE_INTERVAL, "{:?}", start.elapsed());
+        let paced = rt.telemetry().control.updates_paced;
+        assert!((1..=19).contains(&paced), "{paced}");
+        std::thread::sleep(2 * UPDATE_INTERVAL);
+        rt.add_rule(route(400, 2, 0, 0, 9)).unwrap();
+        assert_eq!(rt.telemetry().control.updates_paced, paced);
+    }
+
+    // ---- flow caches across rule changes ------------------------------
+
+    #[test]
+    fn change_log_nets_out_what_came_and_went() {
+        let add = |id: u32| Op::Add(Arc::new(route(id, 1, 0, 0, 1)));
+        let mut log = ChangeLog { first: 0, ops: VecDeque::new() };
+        log.record(2, add(10));
+        log.record(3, Op::Remove(10));
+        log.record(4, Op::Remove(3));
+        log.record(5, add(11));
+        let ids = |net: &NetChange| {
+            (net.added.iter().map(|r| r.id).collect::<Vec<_>>(), net.removed.clone())
+        };
+        // Rule 10 came and went — along with any rule 10 from before.
+        assert_eq!(ids(&log.net(1, 3).expect("covered")), (vec![], vec![10]));
+        assert_eq!(ids(&log.net(1, 5).expect("covered")), (vec![11], vec![10, 3]));
+        assert_eq!(ids(&log.net(2, 3).expect("covered")), (vec![], vec![10]), "added before");
+        assert_eq!(ids(&log.net(5, 5).expect("nothing to cover")), (vec![], vec![]));
+        assert!(log.net(1, 6).is_none(), "version 6 is not on record");
+        assert!(log.net(0, 3).is_none(), "nor is version 1");
+        // More additions than a walk is worth; removals do not count.
+        for v in 0..NET_ADDS_MAX as u64 {
+            log.record(6 + v, add(20 + v as u32));
+        }
+        let last = 5 + NET_ADDS_MAX as u64;
+        assert!(log.net(4, last).is_none());
+        assert!(log.net(5, last).is_some());
+        for v in 1..=4 * NET_ADDS_MAX as u64 {
+            log.record(last + v, Op::Remove(v as u32));
+        }
+        assert!(log.net(5, last + 4 * NET_ADDS_MAX as u64).is_some());
+        // A version published past the log (a whole new table) leaves a
+        // gap, and nothing is known across it.
+        let next = last + 4 * NET_ADDS_MAX as u64 + 2;
+        log.record(next, add(90));
+        assert_eq!(log.ops.len(), 1);
+        assert!(log.net(next - 2, next).is_none() && log.net(next - 1, next).is_some());
+        // Old versions fall off the far end.
+        for v in 1..=2 * CHANGE_LOG_VERSIONS as u64 {
+            log.record(next + v, Op::Remove(0));
+        }
+        assert_eq!(log.ops.len(), CHANGE_LOG_VERSIONS);
+        assert!(log.net(next, next + 1).is_none());
+    }
+
+    #[test]
+    fn an_added_rule_affects_the_entries_it_matches() {
+        let rule = Rule::new(
+            7,
+            1,
+            FlowMatch::any()
+                .with_exact(MatchFieldKind::InPort, 3)
+                .unwrap()
+                .with_prefix(MatchFieldKind::Ipv4Dst, 0x0A01_0000, 16)
+                .unwrap()
+                .with_range(MatchFieldKind::TcpDst, 80, 90)
+                .unwrap(),
+            RuleAction::Forward(1),
+        );
+        let base = HeaderValues::new()
+            .with(MatchFieldKind::InPort, 3)
+            .with(MatchFieldKind::Ipv4Dst, 0x0A01_0203)
+            .with(MatchFieldKind::TcpDst, 85);
+        // A constrained field the packet does not carry never matches.
+        let mut no_tcp = base.clone();
+        no_tcp.unset(MatchFieldKind::TcpDst);
+        let headers = [
+            base.clone(),
+            base.clone().with(MatchFieldKind::InPort, 4),
+            base.clone().with(MatchFieldKind::Ipv4Dst, 0x0A02_0203),
+            base.clone().with(MatchFieldKind::TcpDst, 91),
+            base.clone().with(MatchFieldKind::VlanVid, 9),
+            no_tcp,
+            HeaderValues::new(),
+        ];
+        let net = NetChange { added: vec![Arc::new(rule.clone())], removed: vec![41] };
+        let matched: Vec<bool> = headers.iter().map(|h| rule.flow_match.matches(h)).collect();
+        assert_eq!(matched, [true, false, false, false, true, false, false]);
+        for (h, matched) in headers.iter().zip(matched) {
+            assert_eq!(net.affects(h.fields(), Some(40)), matched, "{h}");
+            assert!(net.affects(h.fields(), Some(41)), "a removed rule's answer");
+        }
+    }
+
+    #[test]
+    fn a_rule_change_costs_the_flow_cache_only_what_it_can_affect() {
+        let config = RuntimeConfig { cache_capacity: 1024, ..quick_config(1) };
+        let rt = Runtime::with_control(Scan(rules()), &config);
+        let hs = headers(128);
+        let mut oracle = rules();
+        let misses = |rt: &RuntimeHandle<Scan>| rt.telemetry().per_shard[0].cache.misses;
+        // Serves the flows once, checked against the oracle, and says how
+        // many of them missed — then again until all are resident (the
+        // admission filter may turn a flow away the first time).
+        let serve = |oracle: &[Rule]| {
+            let want: Vec<Option<u32>> = hs.iter().map(|h| reference_classify(oracle, h)).collect();
+            let pass = || {
+                let before = misses(&rt);
+                assert_eq!(rt.classify_rows(&hs), want);
+                misses(&rt) - before
+            };
+            let first = pass();
+            assert!((0..16).any(|_| pass() == 0), "the flows never all became resident");
+            first
+        };
+        let distinct = serve(&oracle);
+        assert_eq!(distinct, 128);
+        assert_eq!(serve(&oracle), 0, "warm");
+        // A rule for one flow: its entry is the only one to go ...
+        let target = &hs[5];
+        let dst = target.get(MatchFieldKind::Ipv4Dst).unwrap();
+        let rule = route(500, target.get(MatchFieldKind::InPort).unwrap(), dst, 32, 77);
+        oracle.push(rule.clone());
+        rt.add_rule(rule).unwrap();
+        assert_eq!(serve(&oracle), 1, "the added rule matches one resident flow");
+        // ... and again when the rule goes (its answer was memoised).
+        oracle.pop();
+        rt.remove_rule(500).expect("stored");
+        assert_eq!(serve(&oracle), 1);
+        // Removing a seed rule evicts the flows it was answering.
+        let answered_by_3 = {
+            let mut flows: Vec<&HeaderValues> =
+                hs.iter().filter(|h| reference_classify(&oracle, h) == Some(3)).collect();
+            flows.dedup();
+            flows.len() as u64
+        };
+        assert!(answered_by_3 > 0 && answered_by_3 < distinct);
+        oracle.retain(|r| r.id != 3);
+        rt.remove_rule(3).expect("stored");
+        assert_eq!(serve(&oracle), answered_by_3);
+        // A one-packet job brings the cache forward like any other: the
+        // flow the change affects misses, and nothing else is lost.
+        let one = std::slice::from_ref(target);
+        let rule = route(600, target.get(MatchFieldKind::InPort).unwrap(), dst, 32, 88);
+        oracle.push(rule.clone());
+        rt.add_rule(rule).unwrap();
+        let before = misses(&rt);
+        assert_eq!(rt.classify_rows(one), vec![Some(600)]);
+        assert_eq!(misses(&rt), before + 1);
+        assert_eq!(serve(&oracle), 0, "the cache was brought forward by the small job");
+        // A whole new table leaves nothing to carry over.
+        rt.swap_table(Scan(oracle.clone()));
+        assert_eq!(serve(&oracle), distinct);
+        let events = rt.trace_events();
+        let bumps = events.iter().filter(|e| e.kind == EventKind::CacheEpochBump).count();
+        assert_eq!(bumps, 1, "only the swap dropped the cache");
+    }
+
+    #[test]
+    fn an_id_added_twice_and_removed_leaves_no_stale_cache_rows() {
+        // The table holds a rule 3; another rule 3 (a retried add, another
+        // match) comes and goes between two looks of the shard. Both went
+        // with the removal, so what the first was answering must not be
+        // served from the cache.
+        let config = RuntimeConfig { cache_capacity: 1024, ..quick_config(1) };
+        let rt = Runtime::with_control(switch(), &config);
+        let mut hs = vec![HeaderValues::new()
+            .with(MatchFieldKind::InPort, 2)
+            .with(MatchFieldKind::Ipv4Dst, 0x0C00_0001u128)];
+        for port in 1..=3u128 {
+            for net in 0..4u128 {
+                for low in [0u128, 0x3000, 0x3300, 0x3340] {
+                    hs.push(
+                        HeaderValues::new()
+                            .with(MatchFieldKind::InPort, port)
+                            .with(MatchFieldKind::Ipv4Dst, 0x0A00_0001 + (net << 16) + low),
+                    );
+                }
+            }
+        }
+        let check = |step: &str| {
+            for _ in 0..3 {
+                let served = rt.classify_rows(&hs);
+                let table = rt.latest();
+                let want: Vec<Option<u32>> = hs.iter().map(|h| table.value.classify(h)).collect();
+                assert_eq!(served, want, "{step}");
+            }
+        };
+        check("warm");
+        assert_eq!(rt.classify_rows(&hs[4..5]), vec![Some(3)], "rule 3 answers its /28");
+        rt.add_rule(route(3, 2, 0x0C00_0000, 8, 9)).unwrap();
+        rt.remove_rule(3).expect("stored, twice");
+        assert_eq!(rt.classify_rows(&hs[4..5]), vec![Some(2)], "the /24 behind it answers now");
+        check("both rules 3 are gone");
+        rt.add_rule(route(3, 2, 0x0C00_0000, 8, 9)).unwrap();
+        check("one is back");
+        assert_eq!(rt.classify_rows(&hs[..1]), vec![Some(3)]);
+    }
+
+    /// Prints what [`NET_ADDS_MAX`] is derived from (`cargo test --release
+    /// -p mtl-runtime cache_walk_costs -- --ignored --nocapture`).
+    #[test]
+    #[ignore = "a measurement, not a check"]
+    fn cache_walk_costs() {
+        let table = switch();
+        let flows: Vec<HeaderValues> = (0..512u128)
+            .map(|i| {
+                HeaderValues::new()
+                    .with(MatchFieldKind::InPort, 1 + i % 3)
+                    .with(MatchFieldKind::Ipv4Dst, 0x0A00_0000 + i * 0x41)
+            })
+            .collect();
+        let mut cache = FlowCache::new(1024);
+        let warm = |cache: &mut FlowCache, epoch: u64| {
+            let started = Instant::now();
+            for h in &flows {
+                if cache.lookup(epoch, h).is_none() {
+                    cache.insert(epoch, h, Classifier::classify(&table, h));
+                }
+            }
+            started.elapsed().as_nanos() as f64 / flows.len() as f64
+        };
+        // Losing an entry: a miss, a classification, an insert.
+        let lost = (1..=64).map(|epoch| warm(&mut cache, epoch)).sum::<f64>() / 64.0;
+        for _ in 0..4 {
+            warm(&mut cache, 64);
+        }
+        let resident = flows.iter().filter(|h| cache.lookup(64, h).is_some()).count();
+        // Keeping it: one match per added rule (none of which match).
+        for k in [1usize, 4, 16] {
+            let net = NetChange {
+                added: (0..k as u32).map(|i| Arc::new(route(i, 9, 0x0B00_0000, 8, 1))).collect(),
+                removed: Vec::new(),
+            };
+            let started = Instant::now();
+            for _ in 0..256 {
+                assert_eq!(cache.evict_where(64, |fields, row| net.affects(fields, row)), 0);
+            }
+            let per = started.elapsed().as_nanos() as f64 / (256 * resident * k) as f64;
+            println!("{k} added rule(s): {per:.1} ns per resident entry and rule");
+        }
+        let net = NetChange { added: Vec::new(), removed: (0..128).map(|i| 9000 + i).collect() };
+        let started = Instant::now();
+        for _ in 0..256 {
+            assert_eq!(cache.evict_where(64, |fields, row| net.affects(fields, row)), 0);
+        }
+        let walk_us = started.elapsed().as_nanos() as f64 / 256e3;
+        println!("128 removed ids: {walk_us:.1} us per walk; {resident} resident entries");
+        println!("an entry lost: {lost:.0} ns to get it back");
+    }
+
     // ---- durable control plane --------------------------------------
 
     impl Persistent for Scan {
@@ -2693,5 +3438,40 @@ mod tests {
             .with(MatchFieldKind::InPort, 1)
             .with(MatchFieldKind::Ipv4Dst, 0x0A01_0203u128);
         assert_eq!(rt.classify_rows(std::slice::from_ref(&h)), vec![Some(77)]);
+    }
+
+    #[test]
+    fn checkpoint_plus_tail_spanning_a_compaction_restores_byte_identically() {
+        let dir = temp_store("compaction");
+        let durability = DurabilityConfig { checkpoint_every: 1000, ..DurabilityConfig::new(&dir) };
+        let image_before;
+        {
+            let (rt, _) =
+                Runtime::with_durability(switch(), &quick_config(1), &durability).unwrap();
+            // The checkpoint lands mid-way to a compaction: the image it
+            // stores holds garbage, and the counts that decide when to
+            // compact are not in it.
+            for i in 0..2u32 {
+                rt.add_rule(flap(i)).unwrap();
+                rt.remove_rule(5000 + i).expect("stored");
+            }
+            assert_eq!(rt.telemetry().control.compactions, 0);
+            rt.checkpoint_now().expect("durable checkpoint");
+            for i in 2..12u32 {
+                rt.add_rule(flap(i)).unwrap();
+                rt.remove_rule(5000 + i).expect("stored");
+            }
+            rt.add_rule(flap(99)).unwrap();
+            assert!(rt.telemetry().control.compactions >= 1, "the tail crosses a compaction");
+            image_before = rt.master_image().expect("durable master image");
+            rt.shutdown();
+        }
+        // The restored table derives those counts from the image and has
+        // to reach the same decision at the same record of the tail.
+        let (rt, report) =
+            Runtime::with_durability(switch(), &quick_config(1), &durability).unwrap();
+        assert!(report.restored);
+        assert_eq!((report.wal_replayed, report.wal_skipped), (21, 0));
+        assert_eq!(rt.master_image().expect("image"), image_before);
     }
 }

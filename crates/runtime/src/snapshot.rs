@@ -202,7 +202,8 @@ impl<T: Send + Sync> SnapshotCell<T> {
     }
 
     /// Drops every retired reference that no reader can still be
-    /// acquiring. Runs under the writer lock (from `publish`).
+    /// acquiring. Runs under the writer lock (from `publish` and
+    /// `reclaim`).
     ///
     /// Why this is sound is the module-level
     /// [Reclamation safety argument](self#reclamation-safety-argument):
@@ -236,6 +237,16 @@ impl<T: Send + Sync> SnapshotCell<T> {
             }
             !reclaimable
         });
+    }
+
+    /// Runs a reclamation pass now, without publishing: drops every
+    /// retired reference no reader can still be acquiring. A control
+    /// plane that wants to *reuse* what a retired snapshot holds (the
+    /// runtime's spare table image) calls this first, so that the only
+    /// references left are the ones readers really hold.
+    pub fn reclaim(&self) {
+        let _guard = recovered(&self.writer);
+        self.collect();
     }
 
     /// Retired-but-unreclaimed snapshots (observability / tests).

@@ -128,6 +128,70 @@ impl ShardCounters {
     }
 }
 
+/// Lock-free counters of how the control plane carried out its updates.
+#[derive(Debug, Default)]
+pub(crate) struct ControlCounters {
+    pub(crate) publishes_in_place: AtomicU64,
+    pub(crate) publishes_cloned: AtomicU64,
+    pub(crate) removes_incremental: AtomicU64,
+    pub(crate) removes_rebuilt: AtomicU64,
+    pub(crate) compactions: AtomicU64,
+    pub(crate) updates_paced: AtomicU64,
+}
+
+impl ControlCounters {
+    pub(crate) fn capture(&self) -> ControlTelemetry {
+        ControlTelemetry {
+            publishes_in_place: self.publishes_in_place.load(Relaxed),
+            publishes_cloned: self.publishes_cloned.load(Relaxed),
+            removes_incremental: self.removes_incremental.load(Relaxed),
+            removes_rebuilt: self.removes_rebuilt.load(Relaxed),
+            compactions: self.compactions.load(Relaxed),
+            updates_paced: self.updates_paced.load(Relaxed),
+        }
+    }
+}
+
+/// How the control plane carried out its updates: whether a publish
+/// could edit the spare table image in place or had to deep-copy it
+/// first, and whether a removal was an in-place edit or a regeneration.
+/// Answers "why did this update take milliseconds" from the running
+/// system.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ControlTelemetry {
+    /// Updates published by editing the spare table image in place.
+    pub publishes_in_place: u64,
+    /// Updates that deep-copied a table image first: the first update
+    /// after boot or after a failed one (no spare yet), and every update
+    /// that found a reader still holding the spare.
+    pub publishes_cloned: u64,
+    /// Removals the table applied as an in-place edit.
+    pub removes_incremental: u64,
+    /// Removals for which the table regenerated its structures (tables
+    /// that cannot edit in place, and compactions).
+    pub removes_rebuilt: u64,
+    /// Removals that ended in a compaction: the in-place edit pushed the
+    /// table's garbage over its bound (a subset of `removes_rebuilt`).
+    pub compactions: u64,
+    /// Updates that waited for their slot: they came sooner after the
+    /// update before them than the runtime lets two updates start.
+    pub updates_paced: u64,
+}
+
+impl ControlTelemetry {
+    /// The *publish stall* property: the share of rule updates that had
+    /// to deep-copy the table before publishing (0 with no updates).
+    #[must_use]
+    pub fn publish_stall(&self) -> f64 {
+        let publishes = self.publishes_in_place + self.publishes_cloned;
+        if publishes == 0 {
+            0.0
+        } else {
+            self.publishes_cloned as f64 / publishes as f64
+        }
+    }
+}
+
 /// A lock-free log2 histogram of nanosecond durations.
 #[derive(Debug)]
 pub struct LatencyHistogram {
@@ -310,6 +374,8 @@ pub struct RuntimeTelemetry {
     /// Tickets whose `wait_timeout` elapsed before every shard
     /// delivered (the batch was returned `Partial` or `Timeout`).
     pub ticket_timeouts: u64,
+    /// How the control plane carried out its updates.
+    pub control: ControlTelemetry,
     /// Durable-control-plane counters; `None` on in-memory runtimes.
     pub durability: Option<DurabilityTelemetry>,
     /// Flight-recorder / metrics-sampler counters; `None` when the
@@ -455,6 +521,20 @@ impl RuntimeTelemetry {
             self.total_shed_packets(),
             self.poison_recoveries,
             self.ticket_timeouts,
+        );
+        let c = &self.control;
+        let _ = write!(
+            out,
+            "\"control\":{{\"publishes_in_place\":{},\"publishes_cloned\":{},\
+             \"publish_stall\":{:.6},\"removes_incremental\":{},\"removes_rebuilt\":{},\
+             \"compactions\":{},\"updates_paced\":{}}},",
+            c.publishes_in_place,
+            c.publishes_cloned,
+            c.publish_stall(),
+            c.removes_incremental,
+            c.removes_rebuilt,
+            c.compactions,
+            c.updates_paced,
         );
         match &self.durability {
             Some(d) => {
@@ -674,11 +754,25 @@ mod tests {
                 "total_shed_packets",
                 "poison_recoveries",
                 "ticket_timeouts",
+                "control",
                 "durability",
                 "trace",
                 "per_shard",
             ],
             "document",
+        );
+        assert_keys(
+            doc.get("control").expect("control present"),
+            &[
+                "publishes_in_place",
+                "publishes_cloned",
+                "publish_stall",
+                "removes_incremental",
+                "removes_rebuilt",
+                "compactions",
+                "updates_paced",
+            ],
+            "control",
         );
         match doc.get("durability").expect("durability present") {
             Json::Null => {}
@@ -797,6 +891,11 @@ mod tests {
             shards: 1,
             poison_recoveries: 4,
             ticket_timeouts: 1,
+            control: ControlTelemetry {
+                publishes_in_place: 3,
+                publishes_cloned: 1,
+                ..Default::default()
+            },
             durability: None,
             trace: None,
             per_shard: vec![ShardTelemetry::capture(0, &counters, 64)],

@@ -61,12 +61,16 @@ impl Classifier for Scan {
 impl DynamicClassifier for Scan {
     fn insert_rule(&mut self, rule: Rule) -> Result<UpdateReport, classifier_api::BuildError> {
         self.0.push(rule);
-        Ok(UpdateReport { records: 1, rebuilt: false })
+        Ok(UpdateReport { records: 1, rebuilt: false, compacted: false })
     }
     fn remove_rule(&mut self, rule_id: u32) -> Option<UpdateReport> {
         let before = self.0.len();
         self.0.retain(|r| r.id != rule_id);
-        (self.0.len() < before).then_some(UpdateReport { records: 1, rebuilt: false })
+        (self.0.len() < before).then_some(UpdateReport {
+            records: 1,
+            rebuilt: false,
+            compacted: false,
+        })
     }
 }
 

@@ -39,8 +39,9 @@ pub enum EventKind {
     /// A worker re-acquired the published snapshot: a = new version,
     /// b = previous version.
     SnapshotRefresh = 4,
-    /// The control plane published a new table: a = version, b = rules
-    /// in the table (when cheaply known, else 0).
+    /// The control plane published a new table: a = version, b = how
+    /// the published image came to be (0 = a whole new table, 1 = the
+    /// spare image edited in place, 2 = a table image deep-copied first).
     Publish = 5,
     /// A worker's flow cache rolled to a new epoch: a = epoch.
     CacheEpochBump = 6,

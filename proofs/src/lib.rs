@@ -28,6 +28,7 @@
 //! | Harness / scenario | Property | Production site |
 //! |---|---|---|
 //! | `snapshot_reclamation`, `publish_load_collect`, `reader_stall` | no use-after-free, no double-free, no leak on the retire/collect path | `mtl-runtime/src/snapshot.rs` (module-level reclamation safety argument) |
+//! | `two_image_alternation`, `stalled_reader_costs_a_copy_not_a_wait` | the control plane edits a table image in place only when no reader holds or can still acquire it; a stalled reader forces the copy arm and never blocks the writer; the two images stay one operation apart | `mtl-runtime/src/runtime.rs` (`RuntimeHandle::update`, `Shared::writable_spare`) |
 //! | `ring_indices`, `ring_wraparound` | free-running head/tail arithmetic never aliases an occupied slot, across `usize::MAX` wraparound, for any power-of-two capacity | `mtl-runtime/src/ring.rs` (index protocol) |
 //! | `doorbell_wakeup` (+ a deliberately buggy variant the checker must catch) | no missed wakeup between the pending check and the park | `mtl-runtime/src/runtime.rs` (`Doorbell`) |
 //! | `simd_walk_equivalence` | the branchless lane kernel computes exactly the scalar longest-prefix walk | `ofalgo/src/trie/simd.rs` (`lookup_impl`/`chain_impl`) |

@@ -8,6 +8,7 @@
 //! claim; negative variants seed one protocol bug each, and the test
 //! suite requires the checker to find them.
 
+pub mod alternation;
 pub mod doorbell;
 pub mod ring;
 pub mod simd;

@@ -8,6 +8,7 @@
 //! "the checker passed" can never mean "the checker checked nothing".
 
 use mtl_proofs::mck::{run_schedule, Checker, Outcome};
+use mtl_proofs::models::alternation::{AlternationScenario, Bug as AltBug};
 use mtl_proofs::models::doorbell::DoorbellScenario;
 use mtl_proofs::models::ring::SpscScenario;
 use mtl_proofs::models::snapshot::{Bug, SnapshotScenario};
@@ -78,6 +79,82 @@ fn double_free_is_caught() {
         panic!("seeded double-free not found: {out:?}");
     };
     assert!(message.contains("double free"), "{message}");
+}
+
+/// `two_image_alternation` — cited by `Shared::writable_spare` in
+/// `mtl-runtime/src/runtime.rs`: in every interleaving of shard readers
+/// (announce / load / take a reference / read / release) with the
+/// control plane's update (collect, uniqueness check, edit, publish,
+/// collect), the writer edits an image only when no reader holds or can
+/// still acquire it, nothing is freed early or twice or leaked, and the
+/// published image always carries exactly one operation per version.
+#[test]
+fn two_image_alternation() {
+    for (readers, publishes) in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)] {
+        let sc = AlternationScenario { readers, publishes, bug: AltBug::None };
+        let out = Checker::default().explore(&sc);
+        let Outcome::Pass { states, .. } = out else {
+            panic!("readers {readers}, publishes {publishes}: {out:?}");
+        };
+        assert!(states > 100, "suspiciously small exploration: {states} states");
+    }
+}
+
+/// `stalled_reader_costs_a_copy_not_a_wait` — a reader wedged mid-job
+/// holds the image that was live when it loaded it. The writer is never
+/// disabled by that: it runs all its updates to completion, taking the
+/// copy arm exactly when the spare it wants back is the pinned one.
+#[test]
+fn stalled_reader_costs_a_copy_not_a_wait() {
+    let sc = AlternationScenario { readers: 1, publishes: 3, bug: AltBug::None };
+    // Reader (tid 1) acquires the version-1 snapshot and reads once ...
+    let mut schedule = vec![1usize; 6];
+    // ... then stalls while the writer (tid 0) publishes three times.
+    schedule.extend([0usize; 26]);
+    let (state, taken) = run_schedule(&sc, &schedule).expect("a stalled reader must be safe");
+    assert_eq!(taken, schedule.len(), "no writer step waits for the reader");
+    assert!(state.reader_holds(0), "the reader should still hold its snapshot");
+    // Update 1 makes the second image (a copy). Update 2 wants the boot
+    // image back, finds the reader on it, and copies. Update 3 takes the
+    // image update 1 made: nobody holds it.
+    assert_eq!((state.cloned(), state.in_place()), (2, 1));
+    assert_eq!(state.freed_images(), 0, "nothing is freed under the reader");
+    // The reader resumes, releases, and everything drains.
+    schedule.extend([1usize; 2]);
+    run_schedule(&sc, &schedule).expect("the resumed reader must drain cleanly");
+    // With no reader in the way only the first update copies.
+    let mut quiet = vec![1usize; 8];
+    quiet.extend([0usize; 26]);
+    let (state, _) = run_schedule(&sc, &quiet).expect("a quiet run is safe");
+    assert_eq!((state.cloned(), state.in_place()), (1, 2));
+}
+
+/// Editing the spare without asking whether it is exclusively owned
+/// must be found, and the reported schedule must replay to the same
+/// failure.
+#[test]
+fn editing_a_shared_spare_is_caught() {
+    let sc = AlternationScenario { readers: 1, publishes: 2, bug: AltBug::SkipUniquenessCheck };
+    let out = Checker::default().explore(&sc);
+    let Outcome::Violation { trace, message } = out else {
+        panic!("seeded torn read not found: {out:?}");
+    };
+    assert!(message.contains("while reader") || message.contains("mid-edit"), "{message}");
+    let replay = run_schedule(&sc, &trace).unwrap_err();
+    assert_eq!(replay, message, "trace must reproduce the violation");
+}
+
+/// A pre-update collect that ignores announcements drops the retire
+/// list's reference under a reader still acquiring it — the very
+/// reference that keeps the uniqueness check honest. Must be found.
+#[test]
+fn alternation_over_a_blind_collect_is_caught() {
+    let sc = AlternationScenario { readers: 1, publishes: 2, bug: AltBug::IgnoreAnnouncements };
+    let out = Checker::default().explore(&sc);
+    let Outcome::Violation { message, .. } = out else {
+        panic!("seeded blind collect not found: {out:?}");
+    };
+    assert!(message.contains("use-after-free") || message.contains("reader"), "{message}");
 }
 
 /// `ring_wraparound` — cited by the index protocol docs in
