@@ -64,10 +64,6 @@ pub struct TupleSpaceSearch {
     /// The stored rules (needed for incremental removal, which rebuilds
     /// the tuple space from the survivors, and for field-set extensions).
     rules: Vec<Rule>,
-    /// Rule-set generation, bumped by every incremental update so
-    /// epoch-stamped caches fronting this engine invalidate in O(1)
-    /// (the [`Classifier::generation`] hook).
-    generation: u64,
 }
 
 /// The signature and masked key of a rule over a fixed field list.
@@ -140,7 +136,7 @@ impl TupleSpaceSearch {
                 .or_insert_with(|| Tuple { signature, table: HashMap::new() });
             merge_entry(tuple, key, r);
         }
-        Self { tuples: by_sig.into_values().collect(), fields, rules, generation: 0 }
+        Self { tuples: by_sig.into_values().collect(), fields, rules }
     }
 
     /// Number of tuples (hash tables probed per lookup).
@@ -175,12 +171,10 @@ impl DynamicClassifier for TupleSpaceSearch {
             .iter()
             .any(|(f, m)| !m.is_wildcard() && !self.fields.contains(f));
         if extends_fields {
-            let generation = self.generation;
             let mut rules = std::mem::take(&mut self.rules);
             rules.push(rule);
             let records = rules.len();
             *self = Self::from_rules(rules);
-            self.generation = generation + 1;
             return Ok(UpdateReport { records, rebuilt: true, compacted: false });
         }
         let (signature, key) = signature_of(&rule, &self.fields);
@@ -193,7 +187,6 @@ impl DynamicClassifier for TupleSpaceSearch {
         };
         merge_entry(tuple, key, &rule);
         self.rules.push(rule);
-        self.generation += 1;
         Ok(UpdateReport { records: 1, rebuilt: false, compacted: false })
     }
 
@@ -204,12 +197,10 @@ impl DynamicClassifier for TupleSpaceSearch {
         if !self.rules.iter().any(|r| r.id == rule_id) {
             return None;
         }
-        let generation = self.generation;
         let mut survivors = std::mem::take(&mut self.rules);
         survivors.retain(|r| r.id != rule_id);
         let records = survivors.len();
         *self = Self::from_rules(survivors);
-        self.generation = generation + 1;
         Some(UpdateReport { records, rebuilt: true, compacted: false })
     }
 }
@@ -217,10 +208,6 @@ impl DynamicClassifier for TupleSpaceSearch {
 impl Classifier for TupleSpaceSearch {
     fn name(&self) -> &str {
         "tss"
-    }
-
-    fn generation(&self) -> u64 {
-        self.generation
     }
 
     fn classify(&self, header: &HeaderValues) -> Option<u32> {

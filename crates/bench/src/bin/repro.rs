@@ -12,8 +12,8 @@
 //! --full        generate the four 180k-rule routing sets at full size
 //!               (several extra seconds; default scales them down 20x)
 //! --trace FILE  replay a recorded header trace (ofpacket::trace format)
-//!               through the cache experiment instead of the synthetic
-//!               Zipf sweep
+//!               through the cache experiment's runtime instead of the
+//!               synthetic Zipf sweep
 //!
 //! trace convert ingests a classic libpcap capture (linktype Ethernet)
 //! into the ofpacket::trace replay format consumed by --trace:

@@ -1,36 +1,34 @@
-//! Flow-cache and SIMD-walk effectiveness under skewed traffic.
+//! Flow-cache and SIMD-walk effectiveness under skewed traffic, served
+//! by the runtime.
 //!
 //! Replays Zipf-distributed traces (uniform, `s = 0.8`, `s = 1.1`) —
-//! with a realistic stream of one-shot scan garbage mixed in — against
-//! the decomposition architecture, and reports **per stage**, not just
+//! with a realistic stream of one-shot scan garbage mixed in — through
+//! a one-shard [`Runtime`] over the decomposition architecture, the only
+//! path that caches in production, and reports **per stage**, not just
 //! end to end:
 //!
 //! * **trie-walk stage**: ns/key of the interleaved multi-key walk,
 //!   scalar vs SIMD (`ofalgo::simd_level`), result-equality asserted;
-//! * **cache stage**: hit rate and ns/packet under blind admission (the
-//!   PR 3 policy) vs TinyLFU admission, same traces, same capacity —
-//!   the frequency filter's whole point is the gap between those
-//!   columns at low skew;
-//! * the cached path's speedup over *uniform-traffic uncached* batch
-//!   classification — the headline "what does the three-stage fast path
-//!   buy on realistic traffic" number;
-//! * **allocations per packet** on the warmed cached path (required to
+//! * **cache stage**: hit rate and ns/packet with the shard's cache
+//!   under blind admission vs W-TinyLFU admission, same traces, same
+//!   capacity — the frequency filter's whole point is the gap between
+//!   those columns at low skew — plus the window-less TinyLFU hit rate,
+//!   replayed on a bare [`FlowCache`] (the runtime does not offer that
+//!   policy), isolating what the recency window buys;
+//! * the cached runtime's speedup over the same runtime with its cache
+//!   off, at this skew and against uniform traffic;
+//! * **allocations per packet** in the warmed serve loop (required to
 //!   be zero — cache entries and the admission sketch are flat `Copy`
 //!   data);
-//! * the full [`CacheStats`] counter block (hits, misses, insertions,
-//!   evictions, admission rejections), so downstream tooling reads the
-//!   JSON instead of recomputing rates.
+//! * the full [`CacheStats`] counter block of the timed passes.
 //!
-//! The same harness also runs two Table I baselines (TSS, HiCuts)
-//! behind [`CachedClassifier`] — the identical cache the architecture
-//! uses, via the unified `Classifier` surface — and asserts their
-//! cached results are byte-identical to the bare engines across every
-//! trace (as it does for the whole cached registry).
+//! Two Table I baselines (TSS, HiCuts) run behind the same runtime, and
+//! their served results are asserted byte-identical to the bare engines
+//! on every trace.
 //!
-//! Correctness is asserted, not sampled: for every skew the cached
-//! results must be byte-identical to the uncached results, including
-//! after an incremental rule add + remove (the epoch stamp invalidates
-//! the cache in O(1); serving stale rows would show up here).
+//! Correctness is asserted, not sampled: for every skew and policy the
+//! served rows must equal the bare engine's, including after an
+//! incremental rule add + remove through the runtime's control plane.
 //!
 //! A recorded trace file (see `ofpacket::trace`) can replace the
 //! synthetic sweep: `repro -- cache --trace FILE`.
@@ -38,14 +36,17 @@
 use crate::alloc_probe;
 use crate::data::Workloads;
 use crate::output::{obj, render_table, write_json, Json, ToJson};
-use crate::registry;
-use classifier_api::{CacheStats, CachedClassifier, Classifier};
-use mtl_core::{ClassifierBuilder, FlowCache, MtlSwitch};
+use classifier_api::{
+    Admission, CacheStats, Classifier, ClassifierBuilder, DynamicClassifier, FlowCache,
+};
+use mtl_core::MtlSwitch;
+use mtl_runtime::{Runtime, RuntimeConfig};
 use ofbaseline::hicuts::HiCutsTree;
 use ofbaseline::tss::TupleSpaceSearch;
 use offilter::synth::{generate_trace, TraceConfig};
-use offilter::{FilterKind, Rule, RuleAction};
+use offilter::{Rule, RuleAction};
 use oflow::{FlowMatch, HeaderValues, MatchFieldKind};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One skew point of the sweep.
@@ -55,33 +56,35 @@ pub struct SkewRow {
     pub label: String,
     /// Zipf exponent of the trace (0 for recorded traces).
     pub skew: f64,
-    /// Warmed hit rate under blind (always-admit) replacement — the
-    /// PR 3 baseline policy.
+    /// Warmed hit rate of the runtime's cache under blind
+    /// (always-admit) replacement.
     pub blind_hit_rate: f64,
-    /// Warmed hit rate under W-TinyLFU admission (frequency filter +
-    /// recency window — the default policy).
+    /// Warmed hit rate of the runtime's cache under W-TinyLFU admission
+    /// (frequency filter + recency window — the default policy).
     pub tinylfu_hit_rate: f64,
-    /// Warmed hit rate under *window-less* TinyLFU (the PR 4 policy) —
-    /// the A/B partner isolating what the recency window buys.
+    /// Warmed hit rate of a bare window-less TinyLFU [`FlowCache`] on
+    /// the same trace — the A/B partner isolating what the recency
+    /// window buys.
     pub tinylfu_nowindow_hit_rate: f64,
-    /// ns/packet, uncached engine-major batch path, scalar trie walks.
+    /// ns/packet through the runtime with its cache off, scalar trie
+    /// walks.
     pub uncached_scalar_ns_per_packet: f64,
-    /// ns/packet, uncached engine-major batch path, SIMD trie walks
-    /// (equals the scalar column when no vector backend is active).
+    /// ns/packet through the runtime with its cache off, SIMD trie
+    /// walks (equals the scalar column when no vector backend is
+    /// active).
     pub uncached_simd_ns_per_packet: f64,
-    /// ns/packet through the blind-admission cache.
+    /// ns/packet through the runtime with a blind-admission cache.
     pub cached_blind_ns_per_packet: f64,
-    /// ns/packet through the TinyLFU cache.
+    /// ns/packet through the runtime with a W-TinyLFU cache.
     pub cached_tinylfu_ns_per_packet: f64,
     /// `uncached (simd) / cached (tinylfu)` at this skew.
     pub speedup: f64,
-    /// `uniform uncached / cached at this skew` — the fast path's win
-    /// over the pre-cache architecture on its old workload.
+    /// `uniform uncached / cached at this skew` — the cache's win over
+    /// the uncached runtime on uniform traffic.
     pub speedup_vs_uniform_uncached: f64,
-    /// Heap allocations per packet on the warmed cached path.
+    /// Heap allocations per packet in the warmed cached serve loop.
     pub allocs_per_packet: f64,
-    /// Full counter block of the warmed TinyLFU cache over the timed
-    /// reps.
+    /// Counter block of the W-TinyLFU cache over the timed passes.
     pub stats: CacheStats,
 }
 
@@ -146,21 +149,22 @@ impl ToJson for TrieWalkStage {
     }
 }
 
-/// One Table I baseline behind [`CachedClassifier`].
+/// One Table I baseline served by the runtime.
 #[derive(Debug, Clone)]
 pub struct CachedBaselineRow {
     /// Bare engine name ("tss", "hicuts").
     pub name: String,
-    /// Wrapped name ("tss+cache", ...).
+    /// Served name ("tss+cache", ...).
     pub cached_name: String,
     /// Byte-identical to the bare engine on every trace (asserted; the
     /// flag records that the check ran).
     pub identical: bool,
     /// Warmed hit rate on the heaviest-skew trace.
     pub hit_rate: f64,
-    /// ns/packet, bare engine, heaviest-skew trace.
+    /// ns/packet, bare engine batch, heaviest-skew trace.
     pub uncached_ns_per_packet: f64,
-    /// ns/packet behind the cache, warmed, heaviest-skew trace.
+    /// ns/packet through the cached runtime, warmed, heaviest-skew
+    /// trace.
     pub cached_ns_per_packet: f64,
     /// `uncached / cached`.
     pub speedup: f64,
@@ -191,7 +195,7 @@ pub struct CacheExperiment {
     pub flows: usize,
     /// Fraction of packets that are one-shot scan garbage.
     pub oneshot_fraction: f64,
-    /// Flow-cache slots.
+    /// Flow-cache slots of the serving shard.
     pub cache_capacity: usize,
     /// Timed repetitions per point.
     pub reps: usize,
@@ -203,7 +207,7 @@ pub struct CacheExperiment {
     pub trie_walk: TrieWalkStage,
     /// One row per skew, sweep order.
     pub rows: Vec<SkewRow>,
-    /// Baselines behind the shared cache.
+    /// Baselines behind the runtime's cache.
     pub baselines: Vec<CachedBaselineRow>,
 }
 
@@ -263,6 +267,80 @@ fn probe_rule() -> Rule {
             .unwrap(),
         RuleAction::Forward(77),
     )
+}
+
+/// A one-shard runtime configuration with the given cache in front of
+/// the engine (`capacity` 0 turns it off) and the allocation probe wired
+/// into the serve loop.
+fn one_shard(capacity: usize, admission: Admission) -> RuntimeConfig {
+    RuntimeConfig {
+        shards: 1,
+        cache_capacity: capacity,
+        cache_admission: admission,
+        pin_workers: false,
+        alloc_counter: Some(alloc_probe::current),
+        ..RuntimeConfig::default()
+    }
+}
+
+/// What the timed passes of [`serve`] observed.
+struct Served {
+    ns_per_packet: f64,
+    /// Cache counters accumulated over the timed passes only.
+    stats: CacheStats,
+    allocs_per_packet: f64,
+}
+
+/// Serves `trace` twice through `rt` to warm it, asserting every pass
+/// answers `expect`, then times `reps` passes.
+///
+/// # Panics
+/// Panics if a served pass differs from `expect`.
+fn serve<C: Classifier + 'static>(
+    rt: &Runtime<C>,
+    trace: &Arc<[HeaderValues]>,
+    expect: &[Option<u32>],
+    reps: usize,
+    ctx: &str,
+) -> Served {
+    for pass in 0..2 {
+        assert_eq!(rt.classify_rows(trace), expect, "{ctx}: served pass {pass} diverges");
+    }
+    let before = rt.telemetry().cache();
+    let allocs_before = rt.telemetry().hot_path_allocs();
+    let ns_per_packet =
+        time_per(reps, trace.len(), || rt.submit(Arc::clone(trace)).wait().rows.len());
+    let after = rt.telemetry().cache();
+    let allocs = rt.telemetry().hot_path_allocs() - allocs_before;
+    Served {
+        ns_per_packet,
+        stats: CacheStats {
+            hits: after.hits - before.hits,
+            misses: after.misses - before.misses,
+            insertions: after.insertions - before.insertions,
+            evictions: after.evictions - before.evictions,
+            rejections: after.rejections - before.rejections,
+            window_hits: after.window_hits - before.window_hits,
+            ..after
+        },
+        allocs_per_packet: allocs as f64 / (reps * trace.len()).max(1) as f64,
+    }
+}
+
+/// Warmed hit rate of a bare `cache` replaying `trace` (two warm passes,
+/// one measured), installing the engine's `rows` on misses.
+fn replay_hit_rate(mut cache: FlowCache, trace: &[HeaderValues], rows: &[Option<u32>]) -> f64 {
+    for pass in 0..3 {
+        if pass == 2 {
+            cache.reset_stats();
+        }
+        for (h, &row) in trace.iter().zip(rows) {
+            if cache.lookup(0, h).is_none() {
+                cache.insert(0, h, row);
+            }
+        }
+    }
+    cache.hit_rate()
 }
 
 /// Measures the interleaved multi-key trie walk in isolation: the
@@ -335,13 +413,11 @@ fn trie_walk_stage(sw: &MtlSwitch, trace: &[HeaderValues], reps: usize) -> TrieW
     }
 }
 
-/// One skew point: uncached scalar/SIMD timings, blind and TinyLFU
-/// cached timings and hit rates, update-consistency probes, allocation
-/// probe.
-#[allow(clippy::too_many_arguments)]
+/// One skew point: uncached scalar/SIMD timings, blind and W-TinyLFU
+/// cached timings and hit rates, the update-consistency probe, the
+/// allocation probe.
 fn sweep_point(
-    sw: &mut MtlSwitch,
-    kind: FilterKind,
+    sw: &MtlSwitch,
     label: &str,
     skew: f64,
     trace: &[HeaderValues],
@@ -349,140 +425,103 @@ fn sweep_point(
     reps: usize,
     uniform_uncached_ns: &mut f64,
 ) -> SkewRow {
-    // Uncached baseline: the engine-major batch path, scalar then SIMD.
-    let expect = sw.classify_batch_rows(kind, trace);
+    let trace: Arc<[HeaderValues]> = trace.into();
+    let expect = Classifier::classify_batch(sw, &trace);
+
+    // Uncached baseline: the same runtime with its cache off, scalar
+    // then SIMD walks.
+    let rt = Runtime::new(sw.clone(), &one_shard(0, Admission::TinyLfu));
     ofalgo::set_simd_enabled(false);
-    let uncached_scalar_ns =
-        time_per(reps, trace.len(), || sw.classify_batch_rows(kind, trace).len());
+    let uncached_scalar = serve(&rt, &trace, &expect, reps, label);
     ofalgo::set_simd_enabled(true);
-    let uncached_simd_ns =
-        time_per(reps, trace.len(), || sw.classify_batch_rows(kind, trace).len());
+    let uncached_simd = serve(&rt, &trace, &expect, reps, label);
+    drop(rt);
     if label == "uniform" || uniform_uncached_ns.is_nan() {
-        *uniform_uncached_ns = uncached_simd_ns;
+        *uniform_uncached_ns = uncached_simd.ns_per_packet;
     }
 
-    // Blind admission (the PR 3 policy): warm, verify, time.
-    let mut blind = FlowCache::blind(cache_capacity);
-    let warmed = sw.classify_batch_rows_cached(kind, trace, &mut blind);
-    assert_eq!(warmed, expect, "{label}: blind-cached disagrees with uncached");
-    blind.reset_stats();
-    let cached_blind_ns = time_per(reps, trace.len(), || {
-        sw.classify_batch_rows_cached(kind, trace, &mut blind).len()
-    });
-    let blind_hit_rate = blind.hit_rate();
+    let rt = Runtime::new(sw.clone(), &one_shard(cache_capacity, Admission::Blind));
+    let blind = serve(&rt, &trace, &expect, reps, &format!("{label} (blind)"));
+    drop(rt);
 
-    // Window-less TinyLFU (the PR 4 policy): the recency-window A/B
-    // partner — warmed hit rate only (the timed policy is the default).
-    let mut nowindow = FlowCache::with_window(cache_capacity, 0);
-    for _ in 0..2 {
-        let warmed = sw.classify_batch_rows_cached(kind, trace, &mut nowindow);
-        assert_eq!(warmed, expect, "{label}: window-less cached disagrees with uncached");
-    }
-    nowindow.reset_stats();
-    let _ = sw.classify_batch_rows_cached(kind, trace, &mut nowindow);
-    let tinylfu_nowindow_hit_rate = nowindow.hit_rate();
+    let tinylfu_nowindow_hit_rate =
+        replay_hit_rate(FlowCache::with_window(cache_capacity, 0), &trace, &expect);
 
-    // TinyLFU admission: warm, verify, and prove update consistency.
-    let mut cache = FlowCache::new(cache_capacity);
-    let warmed = sw.classify_batch_rows_cached(kind, trace, &mut cache);
-    assert_eq!(warmed, expect, "{label}: cached disagrees with uncached");
+    // W-TinyLFU, with an incremental add + remove through the control
+    // plane first: the served rows must follow both publishes.
+    let rt = Runtime::with_control(sw.clone(), &one_shard(cache_capacity, Admission::TinyLfu));
+    let _ = serve(&rt, &trace, &expect, 1, label);
+    let mut with_probe = sw.clone();
+    with_probe.insert_rule(probe_rule()).expect("probe rule inserts");
+    rt.add_rule(probe_rule()).expect("probe rule inserts");
+    assert_eq!(
+        rt.classify_rows(&trace),
+        Classifier::classify_batch(&with_probe, &trace),
+        "{label}: stale cache after add_rule"
+    );
+    rt.remove_rule(probe_rule().id).expect("probe rule exists");
+    assert_eq!(rt.classify_rows(&trace), expect, "{label}: stale cache after remove_rule");
+    let tinylfu = serve(&rt, &trace, &expect, reps, label);
+    drop(rt);
 
-    // Update-consistency: an incremental add + remove must invalidate
-    // the cache (epoch bump) and keep results identical throughout.
-    let added = sw.add_rule(kind, probe_rule());
-    assert!(added.stats.records > 0);
-    let after_add_uncached = sw.classify_batch_rows(kind, trace);
-    let after_add_cached = sw.classify_batch_rows_cached(kind, trace, &mut cache);
-    assert_eq!(after_add_cached, after_add_uncached, "{label}: stale cache after add_rule");
-    sw.remove_rule(kind, probe_rule().id).expect("probe rule exists");
-    let after_remove = sw.classify_batch_rows_cached(kind, trace, &mut cache);
-    assert_eq!(after_remove, expect, "{label}: stale cache after remove_rule");
-
-    // Re-warm post-update (the admission sketch needs a little history
-    // to separate residents from scan garbage), then measure.
-    for _ in 0..2 {
-        let _ = sw.classify_batch_rows_cached(kind, trace, &mut cache);
-    }
-    cache.reset_stats();
-    let cached_tinylfu_ns = time_per(reps, trace.len(), || {
-        sw.classify_batch_rows_cached(kind, trace, &mut cache).len()
-    });
-    let tinylfu_hit_rate = cache.hit_rate();
-    let stats = cache.stats();
-
-    // Allocation probe on the warmed per-packet cached path (the batch
-    // entry point's result vector is excluded by probing the
-    // single-packet surface, mirroring the throughput experiment).
-    let (sunk, allocs) = alloc_probe::allocations_in(|| {
-        let mut s = 0usize;
-        for h in trace {
-            s = s.wrapping_add(sw.classify_cached(kind, h, &mut cache).unwrap_or(0) as usize);
-        }
-        s
-    });
-    std::hint::black_box(sunk);
-
+    let cached_ns = tinylfu.ns_per_packet;
+    let ratio = |uncached: f64| if cached_ns > 0.0 { uncached / cached_ns } else { 1.0 };
     SkewRow {
         label: label.to_owned(),
         skew,
-        blind_hit_rate,
-        tinylfu_hit_rate,
+        blind_hit_rate: blind.stats.hit_rate(),
+        tinylfu_hit_rate: tinylfu.stats.hit_rate(),
         tinylfu_nowindow_hit_rate,
-        uncached_scalar_ns_per_packet: uncached_scalar_ns,
-        uncached_simd_ns_per_packet: uncached_simd_ns,
-        cached_blind_ns_per_packet: cached_blind_ns,
-        cached_tinylfu_ns_per_packet: cached_tinylfu_ns,
-        speedup: if cached_tinylfu_ns > 0.0 { uncached_simd_ns / cached_tinylfu_ns } else { 1.0 },
-        speedup_vs_uniform_uncached: if cached_tinylfu_ns > 0.0 {
-            *uniform_uncached_ns / cached_tinylfu_ns
-        } else {
-            1.0
-        },
-        allocs_per_packet: allocs as f64 / trace.len() as f64,
-        stats,
+        uncached_scalar_ns_per_packet: uncached_scalar.ns_per_packet,
+        uncached_simd_ns_per_packet: uncached_simd.ns_per_packet,
+        cached_blind_ns_per_packet: blind.ns_per_packet,
+        cached_tinylfu_ns_per_packet: cached_ns,
+        speedup: ratio(uncached_simd.ns_per_packet),
+        speedup_vs_uniform_uncached: ratio(*uniform_uncached_ns),
+        allocs_per_packet: tinylfu.allocs_per_packet,
+        stats: tinylfu.stats,
     }
 }
 
-/// Puts one baseline behind [`CachedClassifier`], asserts byte-identical
-/// results on every trace, and times bare vs cached on the last
-/// (heaviest-skew) trace. The bare comparison engine is the wrapper's
-/// own inner classifier — one build, trivially the same rule set.
-fn cached_baseline<C: Classifier>(
-    cached: &CachedClassifier<C>,
-    traces: &[(String, Vec<HeaderValues>)],
+/// Serves one baseline through a W-TinyLFU runtime, asserts results
+/// byte-identical to the bare engine on every trace, and times bare vs
+/// served on the last (heaviest-skew) trace.
+fn cached_baseline<C: Classifier + 'static>(
+    bare: C,
+    traces: &[Arc<[HeaderValues]>],
+    cache_capacity: usize,
     reps: usize,
 ) -> CachedBaselineRow {
-    let bare = cached.inner();
-    for (label, trace) in traces {
+    let bare = Arc::new(bare);
+    let rt = Runtime::new(Arc::clone(&bare), &one_shard(cache_capacity, Admission::TinyLfu));
+    let name = bare.name().to_owned();
+    let cached_name = format!("{name}+cache");
+    let mut last = None;
+    for trace in traces {
         let want = bare.classify_batch(trace);
-        let cold = cached.classify_batch(trace);
-        assert_eq!(cold, want, "{label}: {} diverges from {}", cached.name(), bare.name());
-        let warm = cached.classify_batch(trace);
-        assert_eq!(warm, want, "{label}: warmed {} diverges", cached.name());
+        last = Some(serve(&rt, trace, &want, reps, &cached_name));
     }
-    let (_, trace) = traces.last().expect("at least one trace");
+    let served = last.expect("at least one trace");
+    let trace = traces.last().expect("at least one trace");
     let uncached_ns = time_per(reps, trace.len(), || bare.classify_batch(trace).len());
-    cached.reset_stats();
-    let cached_ns = time_per(reps, trace.len(), || cached.classify_batch(trace).len());
-    let hit_rate = cached.stats().hit_rate();
     CachedBaselineRow {
-        name: bare.name().to_owned(),
-        cached_name: cached.name().to_owned(),
+        name,
+        cached_name,
         identical: true,
-        hit_rate,
+        hit_rate: served.stats.hit_rate(),
         uncached_ns_per_packet: uncached_ns,
-        cached_ns_per_packet: cached_ns,
-        speedup: if cached_ns > 0.0 { uncached_ns / cached_ns } else { 1.0 },
+        cached_ns_per_packet: served.ns_per_packet,
+        speedup: if served.ns_per_packet > 0.0 { uncached_ns / served.ns_per_packet } else { 1.0 },
     }
 }
 
 /// Runs the sweep on one routing set over the given labelled traces.
 ///
 /// # Panics
-/// Panics if cached and uncached results ever disagree — for the
-/// architecture, for the cached registry, or for the wrapped baselines,
-/// before or after incremental updates — or if the scalar and SIMD trie
-/// walks diverge.
+/// Panics if served and bare results ever disagree — for the
+/// architecture under either admission policy, before or after
+/// incremental updates, or for the baselines — or if the scalar and
+/// SIMD trie walks diverge.
 #[must_use]
 pub fn run_on_traces(
     w: &Workloads,
@@ -497,8 +536,7 @@ pub fn run_on_traces(
     // assertion already failed — the toggle state is still consistent).
     let _ab = SIMD_AB_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let set = w.routing_of(router).expect("routing set exists");
-    let kind = set.kind;
-    let mut sw = <MtlSwitch as ClassifierBuilder>::try_build(set).expect("switch builds");
+    let sw = <MtlSwitch as ClassifierBuilder>::try_build(set).expect("switch builds");
     // Half the flow pool: uniform traffic keeps the cache under
     // capacity pressure (the distribution sensitivity this experiment
     // exists to measure), and the one-shot scan stream stresses
@@ -509,51 +547,28 @@ pub fn run_on_traces(
     let last_trace = &traces.last().expect("at least one trace").2;
     let trie_walk = trie_walk_stage(&sw, last_trace, reps);
 
-    let mut rows = Vec::with_capacity(traces.len());
     let mut uniform_uncached_ns = f64::NAN;
-    for (label, skew, trace) in traces {
-        rows.push(sweep_point(
-            &mut sw,
-            kind,
-            label,
-            *skew,
-            trace,
-            cache_capacity,
-            reps,
-            &mut uniform_uncached_ns,
-        ));
-    }
+    let rows = traces
+        .iter()
+        .map(|(label, skew, trace)| {
+            let ns = &mut uniform_uncached_ns;
+            sweep_point(&sw, label, *skew, trace, cache_capacity, reps, ns)
+        })
+        .collect();
 
-    // The whole cached registry must agree with the bare registry on the
-    // heaviest trace (every baseline behind the identical cache).
-    let standard = registry::standard_registry(set).expect("registry builds");
-    let cached_reg = registry::cached_registry(set, cache_capacity).expect("registry builds");
-    for (category, bare) in standard.iter() {
-        let front = cached_reg.get(category).expect("cached registry mirrors categories");
-        assert_eq!(
-            front.classify_batch(last_trace),
-            bare.classify_batch(last_trace),
-            "{category}: cached registry entry diverges"
-        );
-    }
-
-    let baseline_traces: Vec<(String, Vec<HeaderValues>)> =
-        traces.iter().map(|(l, _, t)| (l.clone(), t.clone())).collect();
+    let shared: Vec<Arc<[HeaderValues]>> =
+        traces.iter().map(|(_, _, t)| t.as_slice().into()).collect();
     let baselines = vec![
         cached_baseline(
-            &CachedClassifier::new(
-                TupleSpaceSearch::try_build(set).expect("tss builds"),
-                cache_capacity,
-            ),
-            &baseline_traces,
+            TupleSpaceSearch::try_build(set).expect("tss builds"),
+            &shared,
+            cache_capacity,
             reps,
         ),
         cached_baseline(
-            &CachedClassifier::new(
-                HiCutsTree::try_build(set).expect("hicuts builds"),
-                cache_capacity,
-            ),
-            &baseline_traces,
+            HiCutsTree::try_build(set).expect("hicuts builds"),
+            &shared,
+            cache_capacity,
             reps,
         ),
     ];
@@ -625,8 +640,8 @@ pub fn run_recorded(
 
 fn print_experiment(e: &CacheExperiment) {
     println!(
-        "== Flow cache on {} ({} packets/trace, {} flows + {:.0}% one-shot scan, \
-         {}-slot cache, simd={}, traces: {}) ==",
+        "== Flow cache on {} via the runtime ({} packets/trace, {} flows + {:.0}% one-shot \
+         scan, {}-slot cache, simd={}, traces: {}) ==",
         e.router,
         e.packets,
         e.flows,
@@ -674,7 +689,7 @@ fn print_experiment(e: &CacheExperiment) {
                 "scalar ns",
                 "simd ns",
                 "blind ns",
-                "tlfu ns",
+                "w-tlfu ns",
                 "speedup",
                 "allocs/pkt",
             ],
@@ -698,7 +713,7 @@ fn print_experiment(e: &CacheExperiment) {
     println!(
         "{}",
         render_table(
-            &["baseline", "identical", "hit rate", "bare ns", "cached ns", "speedup"],
+            &["baseline", "identical", "hit rate", "bare ns", "served ns", "speedup"],
             &rows
         )
     );
@@ -706,7 +721,7 @@ fn print_experiment(e: &CacheExperiment) {
 
 /// Prints the synthetic sweep and writes JSON.
 pub fn report(w: &Workloads) {
-    let e = run(w, "boza", 4096, 1024, 6);
+    let e = run(w, "boza", 4096, 1024, 32);
     print_experiment(&e);
     write_json("cache", &e);
 }
@@ -718,7 +733,7 @@ pub fn report(w: &Workloads) {
 pub fn report_recorded(w: &Workloads, path: &std::path::Path) {
     let trace = ofpacket::trace::read_trace_file(path)
         .unwrap_or_else(|e| panic!("cannot read trace {}: {e}", path.display()));
-    let e = run_recorded(w, "boza", trace, &path.display().to_string(), 6);
+    let e = run_recorded(w, "boza", trace, &path.display().to_string(), 32);
     print_experiment(&e);
     write_json("cache", &e);
 }
@@ -730,10 +745,10 @@ mod tests {
     #[test]
     fn sweep_verifies_and_measures() {
         let w = Workloads::shared_quick();
-        // Small trace: the correctness assertions inside run() (cached ==
-        // uncached for the architecture, the cached registry and the
-        // wrapped baselines, before and after incremental updates; SIMD
-        // == scalar) are the point.
+        // Small trace: the correctness assertions inside run() (served ==
+        // bare for the architecture under both policies, before and after
+        // incremental updates, and for the baselines; SIMD == scalar) are
+        // the point.
         let e = run(w, "bbra", 1024, 256, 2);
         assert_eq!(e.rows.len(), 3);
         for r in &e.rows {
@@ -749,8 +764,7 @@ mod tests {
                 r.label
             );
             // The counter block is real: hits + misses cover the timed
-            // lookups and the admission filter only rejects under
-            // TinyLFU.
+            // lookups.
             assert!(r.stats.hits + r.stats.misses > 0, "{}", r.label);
             assert!(
                 (r.stats.hit_rate() - r.tinylfu_hit_rate).abs() < 1e-9,
@@ -772,16 +786,15 @@ mod tests {
             "elephant flows must hit: {}",
             e.rows[2].tinylfu_hit_rate
         );
-        // Both baselines ran behind the cache, byte-identically.
+        // Both baselines ran behind the runtime, byte-identically.
         assert_eq!(e.baselines.len(), 2);
         assert!(e.baselines.iter().all(|b| b.identical));
         assert!(e.trie_walk.keys > 0);
     }
 
-    /// The PR's admission acceptance criterion: under uniform traffic
-    /// with scan garbage, TinyLFU admission must beat the blind
-    /// (PR 3) policy's hit rate by >= 1.2x — frequency-aware admission
-    /// keeps one-hit wonders from evicting the resident flows.
+    /// Under uniform traffic with scan garbage, W-TinyLFU admission must
+    /// beat the blind policy's hit rate by >= 1.2x — frequency-aware
+    /// admission keeps one-hit wonders from evicting the resident flows.
     #[test]
     fn tinylfu_beats_blind_at_uniform() {
         let w = Workloads::shared_quick();
@@ -796,9 +809,9 @@ mod tests {
         assert!(uniform.stats.rejections > 0, "admission filter never rejected");
     }
 
-    /// The PR's acceptance criterion: the warmed cached lookup performs
-    /// zero heap allocations — the cache (including the admission
-    /// sketch) cannot regress the architecture's allocation behaviour.
+    /// The warmed serve loop performs zero heap allocations — the cache
+    /// (including the admission sketch) cannot regress the
+    /// architecture's allocation behaviour.
     #[test]
     fn warmed_cached_path_is_allocation_free() {
         let w = Workloads::shared_quick();
@@ -806,7 +819,7 @@ mod tests {
         for r in &e.rows {
             assert_eq!(
                 r.allocs_per_packet, 0.0,
-                "{}: cached classify must not allocate after warmup",
+                "{}: the cached serve loop must not allocate after warmup",
                 r.label
             );
         }

@@ -21,8 +21,8 @@
 //! | `fig4`   | Fig. 4(a)/(b) (IP trie Kbits per level) | [`fig4`] |
 //! | `fig5`   | Fig. 5 (update cycles, label vs original) | [`fig5`] |
 //! | `headline` | §V.A totals (5 Mbit, 4 tables, MBT share) | [`headline`] |
-//! | `throughput` | (extension) batch / multi-core lookup + alloc probe | [`throughput`] |
-//! | `cache`  | (extension) flow-cache hit rate + ns/pkt under Zipf skew | [`cache`] |
+//! | `throughput` | (extension) single vs batch lookup per engine + alloc probe | [`throughput`] |
+//! | `cache`  | (extension) runtime-served flow-cache hit rate + ns/pkt under Zipf skew | [`cache`] |
 //! | `runtime` | (extension) sharded-runtime scaling + consistency under rule churn | [`runtime`] |
 //! | `coldstart` | (extension) snapshot-restore vs rebuild-from-rules cold start | [`coldstart`] |
 //! | `storm` | (extension) publish-storm throughput: durability off / WAL-only / WAL+checkpoint | [`storm`] |

@@ -5,9 +5,7 @@
 //! experiment generators iterate this registry instead of duplicating
 //! per-type measurement code.
 
-use classifier_api::{
-    BuildError, CachedClassifier, Classifier, ClassifierBuilder, ClassifierRegistry,
-};
+use classifier_api::{BuildError, Classifier, ClassifierBuilder, ClassifierRegistry};
 use mtl_core::MtlSwitch;
 use ofbaseline::hicuts::HiCutsTree;
 use ofbaseline::linear::LinearClassifier;
@@ -34,42 +32,6 @@ pub fn standard_registry(set: &FilterSet) -> Result<ClassifierRegistry, BuildErr
     registry.register("Decomposition", Box::new(<MtlSwitch as ClassifierBuilder>::try_build(set)?));
     registry.register("Hashing", Box::new(TupleSpaceSearch::try_build(set)?));
     registry.register("Hardware", Box::new(TcamModel::try_build(set)?));
-    Ok(registry)
-}
-
-/// The same registry with every entry fronted by the shared flow cache
-/// ([`CachedClassifier`], TinyLFU admission, `capacity` slots): category
-/// labels mirror [`standard_registry`] so experiments can pair each
-/// cached entry with its bare counterpart and assert byte-identical
-/// results.
-///
-/// # Errors
-/// Propagates the first [`BuildError`] any engine reports.
-pub fn cached_registry(set: &FilterSet, capacity: usize) -> Result<ClassifierRegistry, BuildError> {
-    let mut registry = ClassifierRegistry::new();
-    registry.register(
-        REFERENCE,
-        Box::new(CachedClassifier::new(LinearClassifier::try_build(set)?, capacity)),
-    );
-    registry.register(
-        "Trie-Geometric",
-        Box::new(CachedClassifier::new(HiCutsTree::try_build(set)?, capacity)),
-    );
-    registry.register(
-        "Decomposition",
-        Box::new(CachedClassifier::new(
-            <MtlSwitch as ClassifierBuilder>::try_build(set)?,
-            capacity,
-        )),
-    );
-    registry.register(
-        "Hashing",
-        Box::new(CachedClassifier::new(TupleSpaceSearch::try_build(set)?, capacity)),
-    );
-    registry.register(
-        "Hardware",
-        Box::new(CachedClassifier::new(TcamModel::try_build(set)?, capacity)),
-    );
     Ok(registry)
 }
 
@@ -108,37 +70,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_registry_mirrors_categories_and_agrees() {
-        let w = Workloads::shared_quick();
-        let set = w.routing_of("bbra").unwrap();
-        let standard = standard_registry(set).expect("registry builds");
-        let cached = cached_registry(set, 256).expect("cached registry builds");
-        assert_eq!(cached.len(), standard.len());
-        let mut rng = StdRng::seed_from_u64(23);
-        let ports: Vec<u128> = set
-            .rules
-            .iter()
-            .map(|r| r.field_as_prefix(MatchFieldKind::InPort).unwrap().0)
-            .collect();
-        let headers: Vec<HeaderValues> = (0..200)
-            .map(|_| {
-                HeaderValues::new()
-                    .with(MatchFieldKind::InPort, ports[rng.gen_range(0..ports.len())])
-                    .with(MatchFieldKind::Ipv4Dst, u128::from(rng.gen::<u32>()))
-            })
-            .collect();
-        for (category, bare) in standard.iter() {
-            let front = cached.get(category).expect("cached registry mirrors categories");
-            assert!(front.name().ends_with("+cache"), "{category}: {}", front.name());
-            let want = bare.classify_batch(&headers);
-            // Cold pass fills the cache, warm pass serves from it; both
-            // must be byte-identical to the bare engine.
-            assert_eq!(front.classify_batch(&headers), want, "{category} (cold)");
-            assert_eq!(front.classify_batch(&headers), want, "{category} (warm)");
-        }
-    }
-
-    #[test]
     fn every_registered_classifier_agrees_with_the_oracle() {
         let w = Workloads::shared_quick();
         let set = w.routing_of("bbra").unwrap();
@@ -162,14 +93,6 @@ mod tests {
                 let want = reference_classify(&set.rules, h);
                 assert_eq!(classifier.classify(h), want, "{category} header {h}");
                 assert_eq!(*batched, want, "{category} (batch) header {h}");
-            }
-            // Multi-core sharding returns the identical vector.
-            for threads in [2, 5] {
-                assert_eq!(
-                    classifier.par_classify_batch(&headers, threads),
-                    batch,
-                    "{category} par({threads})"
-                );
             }
         }
     }

@@ -323,11 +323,6 @@ fn shard_point(
     let packets = (outputs.len() * trace.len()) as f64;
     let secs = elapsed.as_secs_f64();
     let pps = if secs > 0.0 { packets / secs } else { 0.0 };
-    let merged = telemetry
-        .per_shard
-        .iter()
-        .map(|s| s.cache)
-        .fold(classifier_api::CacheStats::default(), classifier_api::CacheStats::merged);
     let point = ShardPoint {
         shards,
         quiesced_identical: true,
@@ -336,7 +331,7 @@ fn shard_point(
         packets_per_sec: pps,
         ns_per_packet: if packets > 0.0 { elapsed.as_nanos() as f64 / packets } else { 0.0 },
         speedup: baseline_pps.map_or(1.0, |base| if base > 0.0 { pps / base } else { 1.0 }),
-        hit_rate: merged.hit_rate(),
+        hit_rate: telemetry.hit_rate(),
         snapshot_refreshes: telemetry.per_shard.iter().map(|s| s.snapshot_refreshes).sum(),
         hot_path_allocs,
         pinned_shards: telemetry.per_shard.iter().filter(|s| s.pinned).count(),
@@ -370,14 +365,7 @@ fn profile_run(
         "{shards} shards: profile output diverges from the oracle"
     );
     let _ = rt.classify_rows(first);
-    let merged_stats = |rt: &Runtime<MtlSwitch>| {
-        rt.telemetry()
-            .per_shard
-            .iter()
-            .map(|s| s.cache)
-            .fold(classifier_api::CacheStats::default(), classifier_api::CacheStats::merged)
-    };
-    let warm = merged_stats(&rt);
+    let warm = rt.telemetry().cache();
     let started = Instant::now();
     let mut tickets = std::collections::VecDeque::with_capacity(8);
     for batch in &batches[1..] {
@@ -392,7 +380,7 @@ fn profile_run(
     let secs = started.elapsed().as_secs_f64();
     // Hit rate over the timed portion only (the warm passes would
     // otherwise pollute the scan profile's zero-reuse property).
-    let total = merged_stats(&rt);
+    let total = rt.telemetry().cache();
     let timed = classifier_api::CacheStats {
         hits: total.hits - warm.hits,
         misses: total.misses - warm.misses,

@@ -1,19 +1,16 @@
-//! Batch-lookup throughput, thread scaling and allocation accounting over
-//! the classifier registry.
+//! Batch-lookup throughput and allocation accounting over the classifier
+//! registry.
 //!
 //! The north-star workload is a switch serving heavy traffic, which
 //! classifies packet *vectors*, not single packets. Every engine speaks
-//! [`classifier_api::Classifier::classify_batch`] and
-//! [`classifier_api::Classifier::par_classify_batch`]; the decomposition
-//! architecture overrides the former with an engine-major pipeline that
-//! amortises per-field dispatch across the vector, and the latter shards
-//! any batch path over scoped threads for free. This experiment measures,
-//! per registered engine:
+//! [`classifier_api::Classifier::classify_batch`]; the decomposition
+//! architecture overrides it with an engine-major pipeline that amortises
+//! per-field dispatch across the vector. This experiment measures, per
+//! registered engine and on one thread (multi-core serving is the
+//! runtime's job — see the `runtime` experiment's shard sweep):
 //!
 //! * wall-clock per-packet cost of the per-packet loop vs the batch entry
 //!   point (checking on the way that both agree);
-//! * a thread-scaling sweep (default 1/2/4/8 worker threads) in
-//!   packets/sec — the multi-core story;
 //! * heap allocations per packet on the warmed single-packet path, via
 //!   [`crate::alloc_probe`] — the decomposition architecture's lookup is
 //!   required to be **zero**.
@@ -24,31 +21,6 @@ use crate::output::{obj, render_table, write_json, Json, ToJson};
 use crate::registry::standard_registry;
 use crate::table1::probe_trace;
 use std::time::Instant;
-
-/// One point of the thread-scaling sweep.
-#[derive(Debug, Clone)]
-pub struct ThreadPoint {
-    /// Worker threads used.
-    pub threads: usize,
-    /// Nanoseconds per packet through `par_classify_batch`.
-    pub ns_per_packet: f64,
-    /// Throughput in packets per second.
-    pub packets_per_sec: f64,
-    /// Speedup over this engine's first sweep point (the scaling
-    /// baseline — thread count 1 in the default sweep).
-    pub speedup: f64,
-}
-
-impl ToJson for ThreadPoint {
-    fn to_json(&self) -> Json {
-        obj([
-            ("threads", self.threads.into()),
-            ("ns_per_packet", self.ns_per_packet.into()),
-            ("packets_per_sec", self.packets_per_sec.into()),
-            ("speedup", self.speedup.into()),
-        ])
-    }
-}
 
 /// One engine's throughput measurements.
 #[derive(Debug, Clone)]
@@ -65,8 +37,6 @@ pub struct Row {
     pub batch_speedup: f64,
     /// Heap allocations per packet on the warmed single-packet path.
     pub allocs_per_packet: f64,
-    /// Thread-scaling sweep, ascending thread counts.
-    pub scaling: Vec<ThreadPoint>,
 }
 
 impl ToJson for Row {
@@ -78,7 +48,6 @@ impl ToJson for Row {
             ("batch_ns_per_packet", self.batch_ns_per_packet.into()),
             ("batch_speedup", self.batch_speedup.into()),
             ("allocs_per_packet", self.allocs_per_packet.into()),
-            ("scaling", self.scaling.to_json()),
         ])
     }
 }
@@ -90,8 +59,6 @@ pub struct Throughput {
     pub router: String,
     /// Packets per measured repetition.
     pub batch_size: usize,
-    /// Hardware threads available to the sweep.
-    pub available_parallelism: usize,
     /// Per-engine rows.
     pub rows: Vec<Row>,
 }
@@ -101,27 +68,18 @@ impl ToJson for Throughput {
         obj([
             ("router", self.router.as_str().into()),
             ("batch_size", self.batch_size.into()),
-            ("available_parallelism", self.available_parallelism.into()),
             ("rows", self.rows.to_json()),
         ])
     }
 }
 
-/// Runs the experiment on one routing set, sweeping `thread_counts`
-/// worker threads.
+/// Runs the experiment on one routing set.
 ///
 /// # Panics
-/// Panics if any engine's batch or sharded path disagrees with its
-/// per-packet path — that would invalidate the comparison (and the
-/// engine).
+/// Panics if any engine's batch path disagrees with its per-packet path
+/// — that would invalidate the comparison (and the engine).
 #[must_use]
-pub fn run(
-    w: &Workloads,
-    router: &str,
-    batch_size: usize,
-    reps: usize,
-    thread_counts: &[usize],
-) -> Throughput {
+pub fn run(w: &Workloads, router: &str, batch_size: usize, reps: usize) -> Throughput {
     let set = w.routing_of(router).expect("routing set exists");
     let headers = probe_trace(w, router, batch_size);
     let registry = standard_registry(set).expect("registry builds on paper workloads");
@@ -129,21 +87,14 @@ pub fn run(
     let rows = registry
         .iter()
         .map(|(category, classifier)| {
-            // Agreement first: a fast batch or sharded path that returns
-            // different answers would be worthless.
+            // Agreement first: a fast batch path that returns different
+            // answers would be worthless.
             let batch = classifier.classify_batch(&headers);
             for (h, b) in headers.iter().zip(&batch) {
                 assert_eq!(
                     *b,
                     classifier.classify(h),
                     "{category}: batch and single disagree on {h}"
-                );
-            }
-            for &threads in thread_counts {
-                assert_eq!(
-                    classifier.par_classify_batch(&headers, threads),
-                    batch,
-                    "{category}: par({threads}) and batch disagree"
                 );
             }
 
@@ -175,28 +126,6 @@ pub fn run(
             sink = sink.wrapping_add(sunk);
 
             let packets = (reps * headers.len()) as f64;
-            let scaling: Vec<ThreadPoint> = {
-                let mut points = Vec::with_capacity(thread_counts.len());
-                let mut one_thread_ns = f64::NAN;
-                for &threads in thread_counts {
-                    let start = Instant::now();
-                    for _ in 0..reps {
-                        sink = sink
-                            .wrapping_add(classifier.par_classify_batch(&headers, threads).len());
-                    }
-                    let ns = start.elapsed().as_nanos() as f64 / packets;
-                    if points.is_empty() {
-                        one_thread_ns = ns;
-                    }
-                    points.push(ThreadPoint {
-                        threads,
-                        ns_per_packet: ns,
-                        packets_per_sec: if ns > 0.0 { 1e9 / ns } else { 0.0 },
-                        speedup: if ns > 0.0 { one_thread_ns / ns } else { 1.0 },
-                    });
-                }
-                points
-            };
             // Keep the sink live so the loops cannot be elided.
             std::hint::black_box(sink);
 
@@ -209,31 +138,21 @@ pub fn run(
                 batch_ns_per_packet: batch_ns,
                 batch_speedup: if batch_ns > 0.0 { single_ns / batch_ns } else { 1.0 },
                 allocs_per_packet: allocs as f64 / headers.len() as f64,
-                scaling,
             }
         })
         .collect();
 
-    Throughput {
-        router: router.to_owned(),
-        batch_size,
-        available_parallelism: std::thread::available_parallelism().map_or(1, usize::from),
-        rows,
-    }
+    Throughput { router: router.to_owned(), batch_size, rows }
 }
 
 /// Prints the comparison and writes JSON.
 pub fn report(w: &Workloads) {
-    let t = run(w, "boza", 2048, 6, &[1, 2, 4, 8]);
-    println!(
-        "== Batch throughput on {} ({} packets/batch, {} hw threads) ==",
-        t.router, t.batch_size, t.available_parallelism
-    );
+    let t = run(w, "boza", 2048, 6);
+    println!("== Batch throughput on {} ({} packets/batch, one thread) ==", t.router, t.batch_size);
     let rows: Vec<Vec<String>> = t
         .rows
         .iter()
         .map(|r| {
-            let four = r.scaling.iter().find(|p| p.threads == 4);
             vec![
                 r.category.clone(),
                 r.name.clone(),
@@ -241,22 +160,13 @@ pub fn report(w: &Workloads) {
                 format!("{:.0}", r.batch_ns_per_packet),
                 format!("{:.2}x", r.batch_speedup),
                 format!("{:.2}", r.allocs_per_packet),
-                four.map_or_else(String::new, |p| format!("{:.2} Mpps", p.packets_per_sec / 1e6)),
             ]
         })
         .collect();
     println!(
         "{}",
         render_table(
-            &[
-                "category",
-                "engine",
-                "single ns/pkt",
-                "batch ns/pkt",
-                "speedup",
-                "allocs/pkt",
-                "4-thread",
-            ],
+            &["category", "engine", "single ns/pkt", "batch ns/pkt", "speedup", "allocs/pkt",],
             &rows
         )
     );
@@ -272,17 +182,11 @@ mod tests {
         let w = Workloads::shared_quick();
         // Small trace: the assertions inside run() are the point; timing
         // numbers just have to be present and positive.
-        let t = run(w, "bbra", 256, 1, &[1, 2]);
+        let t = run(w, "bbra", 256, 1);
         assert_eq!(t.rows.len(), 5);
-        assert!(t.available_parallelism >= 1);
         for r in &t.rows {
             assert!(r.single_ns_per_packet > 0.0, "{}", r.category);
             assert!(r.batch_ns_per_packet > 0.0, "{}", r.category);
-            assert_eq!(r.scaling.len(), 2, "{}", r.category);
-            for p in &r.scaling {
-                assert!(p.ns_per_packet > 0.0, "{} @{}", r.category, p.threads);
-                assert!(p.packets_per_sec > 0.0, "{} @{}", r.category, p.threads);
-            }
         }
     }
 
@@ -291,7 +195,7 @@ mod tests {
     #[test]
     fn mtl_single_packet_path_is_allocation_free() {
         let w = Workloads::shared_quick();
-        let t = run(w, "bbra", 256, 1, &[1]);
+        let t = run(w, "bbra", 256, 1);
         let mtl = t.rows.iter().find(|r| r.name == "mtl").expect("mtl row");
         assert_eq!(
             mtl.allocs_per_packet, 0.0,

@@ -6,20 +6,20 @@
 //! set-associative table memoising `header → result`. A hit skips the
 //! engine entirely; a miss falls through and installs the result.
 //!
-//! The cache lives in `classifier-api` (it moved here from `mtl-core`)
-//! so *every* engine can sit behind it: the decomposition architecture
-//! wires it directly into its batch pipelines, and any boxed
-//! [`Classifier`](crate::Classifier) can be fronted by the identical
-//! cache via [`CachedClassifier`](crate::CachedClassifier).
+//! The cache lives in `classifier-api` so *every* engine can sit behind
+//! it: `mtl-runtime` gives each worker shard one, in front of whatever
+//! [`Classifier`](crate::Classifier) the runtime serves. The runtime is
+//! the only place that caches.
 //!
 //! ## Consistency with incremental updates
 //!
-//! Entries are **epoch-stamped**: every mutation of the rule set bumps
-//! the owner's generation counter ([`crate::Classifier::generation`],
-//! `MtlSwitch::epoch` in `mtl-core`), and a cached entry is only served
-//! when its stamp equals the current epoch. Invalidation is therefore
-//! O(1) — one integer increment — with no cache walking; stale entries
-//! die lazily as they are re-probed or overwritten.
+//! Entries are **epoch-stamped**: the owner stamps every entry with the
+//! version of the rule set that computed it (the runtime uses its publish
+//! version), and a cached entry is only served when its stamp equals the
+//! current epoch. Invalidation is therefore O(1) — one integer increment
+//! — with no cache walking; stale entries die lazily as they are
+//! re-probed or overwritten. [`FlowCache::evict_where`] is the selective
+//! alternative for an owner that knows which entries a change can affect.
 //!
 //! ## Frequency-aware admission (TinyLFU)
 //!
@@ -323,9 +323,7 @@ impl Entry {
 /// frequency-aware admission.
 ///
 /// See the [module docs](self) for the design. Create one per worker
-/// thread (or per pipeline) and pass it to the owner's cached lookup
-/// surface (`MtlSwitch::classify_cached` in `mtl-core`, or wrap any
-/// engine in [`crate::CachedClassifier`]); counters accumulate until
+/// thread (the runtime's shards each own one); counters accumulate until
 /// [`FlowCache::reset_stats`] and are read via [`FlowCache::stats`].
 #[derive(Debug, Clone)]
 pub struct FlowCache {

@@ -21,19 +21,16 @@
 //!   bench harness iterates.
 //! * [`reference_classify`] — the highest-priority-match oracle every
 //!   implementation is validated against.
-//! * [`cache`] — the shared epoch-stamped [`FlowCache`] (TinyLFU
-//!   admission) and [`cached`] — the [`CachedClassifier`] wrapper that
-//!   puts *any* engine behind it, so registry comparisons measure every
-//!   baseline through the identical cache.
+//! * [`cache`] — the epoch-stamped [`FlowCache`] (W-TinyLFU admission)
+//!   that `mtl-runtime`'s shards put in front of whatever engine they
+//!   serve; parallelism and caching live there, not in this contract.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod cached;
 
 pub use cache::{Admission, CacheStats, FlowCache, FxHasher, MAX_CACHED_FIELDS};
-pub use cached::CachedClassifier;
 
 use offilter::{FilterKind, FilterSet, Rule};
 use oflow::{HeaderValues, MatchFieldKind};
@@ -127,8 +124,7 @@ impl std::error::Error for BuildError {}
 ///
 /// Classification is a `&self` operation on every engine, so the trait
 /// requires `Send + Sync`: any classifier can be shared across worker
-/// threads, and [`Classifier::par_classify_batch`] shards a batch over a
-/// scoped thread pool for free.
+/// threads — `mtl-runtime`'s shards serve one published table together.
 pub trait Classifier: Send + Sync {
     /// Short display name ("linear", "tcam", "mtl", ...).
     fn name(&self) -> &str;
@@ -147,19 +143,6 @@ pub trait Classifier: Send + Sync {
         headers.iter().map(|h| self.classify(h)).collect()
     }
 
-    /// Classifies a batch across `threads` worker threads; element `i` of
-    /// the result is `classify(&headers[i])`.
-    ///
-    /// The default shards the batch into `threads` contiguous chunks and
-    /// runs [`Classifier::classify_batch`] on each inside
-    /// [`std::thread::scope`], so every engine — including batch-optimised
-    /// overrides — scales across cores without any per-engine code.
-    /// `threads <= 1` (or a batch too small to shard) degrades to the
-    /// single-threaded batch path.
-    fn par_classify_batch(&self, headers: &[HeaderValues], threads: usize) -> Vec<Option<u32>> {
-        sharded(headers, threads, |chunk| self.classify_batch(chunk))
-    }
-
     /// Modeled memory footprint in bits.
     fn memory_bits(&self) -> u64;
 
@@ -173,22 +156,6 @@ pub trait Classifier: Send + Sync {
     /// update). Rule replication (HiCuts), range expansion (TCAM) and
     /// completion entries (decomposition) all surface here.
     fn build_records(&self) -> usize;
-
-    /// Monotone rule-set generation counter for epoch-stamped caching:
-    /// any observable change to classification results must be preceded
-    /// by a change of this value. Flow caches ([`FlowCache`],
-    /// [`CachedClassifier`]) stamp entries with it, so one counter bump
-    /// invalidates every memoised result in O(1).
-    ///
-    /// The default returns 0 — correct for engines that are never
-    /// mutated behind the shared reference (classification is `&self`;
-    /// `&mut self` updates through [`DynamicClassifier`] on a *wrapped*
-    /// engine are covered by the wrapper's own bump counter). Engines
-    /// that track updates natively (the decomposition switch's epoch,
-    /// TSS's in-place inserts) override it.
-    fn generation(&self) -> u64 {
-        0
-    }
 }
 
 /// Forwarding impls: shared and owning smart pointers classify exactly
@@ -208,13 +175,6 @@ macro_rules! forward_classifier {
             fn classify_batch(&self, headers: &[HeaderValues]) -> Vec<Option<u32>> {
                 (**self).classify_batch(headers)
             }
-            fn par_classify_batch(
-                &self,
-                headers: &[HeaderValues],
-                threads: usize,
-            ) -> Vec<Option<u32>> {
-                (**self).par_classify_batch(headers, threads)
-            }
             fn memory_bits(&self) -> u64 {
                 (**self).memory_bits()
             }
@@ -224,9 +184,6 @@ macro_rules! forward_classifier {
             fn build_records(&self) -> usize {
                 (**self).build_records()
             }
-            fn generation(&self) -> u64 {
-                (**self).generation()
-            }
         }
     };
 }
@@ -234,40 +191,6 @@ macro_rules! forward_classifier {
 use std::sync::Arc;
 forward_classifier!(Arc);
 forward_classifier!(Box);
-
-/// Shards `items` into `threads` contiguous chunks, runs `f` on each
-/// inside [`std::thread::scope`], and concatenates the results in input
-/// order. The backbone of [`Classifier::par_classify_batch`] — also used
-/// by engines exposing richer parallel batch surfaces (the decomposition
-/// switch's full-result batches). `threads <= 1` (or a single-item batch)
-/// degrades to calling `f` inline.
-///
-/// # Panics
-/// Panics if a worker thread panics.
-pub fn sharded<I: Sync, T: Send>(
-    items: &[I],
-    threads: usize,
-    f: impl Fn(&[I]) -> Vec<T> + Sync,
-) -> Vec<T> {
-    // Cap the worker count at the item count and at a multiple of the
-    // hardware parallelism (floor 64 so modest oversubscription sweeps
-    // still run as asked): an absurd `threads` argument must not
-    // translate into one OS thread per packet.
-    let hw = std::thread::available_parallelism().map_or(1, usize::from);
-    let threads = threads.clamp(1, items.len().max(1)).min((4 * hw).max(64));
-    if threads == 1 {
-        return f(items);
-    }
-    let shard = items.len().div_ceil(threads);
-    let mut out = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items.chunks(shard).map(|chunk| scope.spawn(|| f(chunk))).collect();
-        for handle in handles {
-            out.extend(handle.join().expect("classification worker panicked"));
-        }
-    });
-    out
-}
 
 /// Fallible construction of a classifier from one filter set.
 ///
@@ -423,21 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn default_par_batch_matches_batch() {
-        let c = Fixed(Some(3));
-        let headers = vec![HeaderValues::new(); 37];
-        let want = c.classify_batch(&headers);
-        // More threads than packets, equal, fewer, one, zero: all agree.
-        for threads in [0, 1, 2, 5, 37, 64] {
-            assert_eq!(c.par_classify_batch(&headers, threads), want, "threads={threads}");
-        }
-        assert!(c.par_classify_batch(&[], 4).is_empty());
-        // Trait objects can shard too (Classifier is Send + Sync).
-        let boxed: Box<dyn Classifier> = Box::new(Fixed(None));
-        assert_eq!(boxed.par_classify_batch(&headers, 3), vec![None; 37]);
-    }
-
-    #[test]
     fn smart_pointers_forward_the_whole_surface() {
         let shared: Arc<Fixed> = Arc::new(Fixed(Some(5)));
         let boxed: Box<dyn Classifier> = Box::new(Fixed(Some(6)));
@@ -446,10 +354,8 @@ mod tests {
         assert_eq!(Classifier::classify(&shared, &h), Some(5));
         assert_eq!(boxed.classify(&h), Some(6));
         assert_eq!(Classifier::classify_batch(&shared, &[h.clone(), h.clone()]), vec![Some(5); 2]);
-        assert_eq!(shared.par_classify_batch(&vec![h.clone(); 8], 3), vec![Some(5); 8]);
         assert_eq!(shared.memory_bits(), 1);
         assert_eq!(boxed.lookup_accesses(&h), 1);
-        assert_eq!(shared.generation(), 0);
         // An Arc'd trait object forwards too (the runtime's snapshots
         // over dynamic classifiers).
         let dynamic: Arc<dyn Classifier> = Arc::new(Fixed(None));

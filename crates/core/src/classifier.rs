@@ -9,7 +9,7 @@
 //!   originating rule id;
 //! * `classify_batch` overrides the default per-packet loop with the
 //!   engine-major batched pipeline of
-//!   [`MtlSwitch::classify_batch_app`], amortising per-field engine
+//!   [`MtlSwitch::classify_batch_rows`], amortising per-field engine
 //!   dispatch across the packet vector;
 //! * `memory_bits` is the whole-switch embedded-memory total (the §V.A
 //!   headline number);
@@ -89,13 +89,6 @@ impl Classifier for MtlSwitch {
         // Algorithm structures + index entries (completion included) +
         // action rows, as the build ledger accounted them.
         self.ledger.full_stats().records
-    }
-
-    fn generation(&self) -> u64 {
-        // The switch's rule-set epoch: bumped by every add_rule /
-        // remove_rule / rebuild, so epoch-stamped caches (including
-        // `CachedClassifier`) invalidate in O(1).
-        self.epoch()
     }
 }
 

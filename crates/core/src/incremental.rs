@@ -367,8 +367,7 @@ impl MtlSwitch {
             return self.rebuild_application(app_idx, rules);
         }
 
-        // The rule set is definitely changing: invalidate every
-        // epoch-stamped flow cache in O(1).
+        // The rule set is definitely changing: a new generation.
         self.epoch += 1;
 
         let MtlSwitch { apps, ledger, .. } = self;
@@ -515,8 +514,8 @@ impl MtlSwitch {
         let mut ledger = crate::update::BuildLedger::default();
         let rebuilt = try_build_app(kind, &table_cfgs, &set, &mut ledger)?;
         self.apps[app_idx] = rebuilt;
-        // Regeneration changed the rule set (and renumbered rows):
-        // invalidate every epoch-stamped flow cache.
+        // Regeneration changed the rule set (and renumbered rows): a new
+        // generation.
         self.epoch += 1;
         let records = ledger.algorithm_label_records + ledger.index_records + ledger.action_records;
         // Fold the regeneration into the switch-wide ledger.
@@ -558,15 +557,24 @@ mod tests {
     fn add_rule_becomes_visible() {
         let set = FilterSet::new("inc", FilterKind::Routing, vec![route(0, 1, 0x0A00_0000, 8, 1)]);
         let mut sw = MtlSwitch::build(&SwitchConfig::single_app(FilterKind::Routing, 0), &[&set]);
-        assert_eq!(sw.classify(&header(1, 0x0A01_0203)).verdict, Verdict::Output(1));
+        assert_eq!(
+            sw.classify_app(FilterKind::Routing, &header(1, 0x0A01_0203)).verdict,
+            Verdict::Output(1)
+        );
 
         let out = sw.add_rule(FilterKind::Routing, route(1, 1, 0x0A01_0200, 24, 9));
         assert_eq!(out.mode, UpdateMode::Incremental);
         assert!(out.stats.records > 0);
         // New, more specific rule wins in its region...
-        assert_eq!(sw.classify(&header(1, 0x0A01_0203)).verdict, Verdict::Output(9));
+        assert_eq!(
+            sw.classify_app(FilterKind::Routing, &header(1, 0x0A01_0203)).verdict,
+            Verdict::Output(9)
+        );
         // ...and the old rule still covers the rest.
-        assert_eq!(sw.classify(&header(1, 0x0A02_0000)).verdict, Verdict::Output(1));
+        assert_eq!(
+            sw.classify_app(FilterKind::Routing, &header(1, 0x0A02_0000)).verdict,
+            Verdict::Output(1)
+        );
     }
 
     #[test]
@@ -582,8 +590,14 @@ mod tests {
             "shared values should write few records, wrote {}",
             out.stats.records
         );
-        assert_eq!(sw.classify(&header(2, 0x0A01_02FF)).verdict, Verdict::Output(5));
-        assert_eq!(sw.classify(&header(1, 0x0A01_02FF)).verdict, Verdict::Output(1));
+        assert_eq!(
+            sw.classify_app(FilterKind::Routing, &header(2, 0x0A01_02FF)).verdict,
+            Verdict::Output(5)
+        );
+        assert_eq!(
+            sw.classify_app(FilterKind::Routing, &header(1, 0x0A01_02FF)).verdict,
+            Verdict::Output(1)
+        );
     }
 
     #[test]
@@ -611,8 +625,8 @@ mod tests {
             for dst in [0u128, 0x0A00_0001, 0x0A01_0001, 0x0A01_8001, 0x0A01_0201, 0xFF00_0000] {
                 let h = header(port, dst);
                 assert_eq!(
-                    incremental.classify(&h).verdict,
-                    fresh.classify(&h).verdict,
+                    incremental.classify_app(FilterKind::Routing, &h).verdict,
+                    fresh.classify_app(FilterKind::Routing, &h).verdict,
                     "port {port} dst {dst:#x}"
                 );
             }
@@ -955,7 +969,7 @@ mod tests {
         );
         let mut sw = MtlSwitch::build(&SwitchConfig::single_app(FilterKind::Routing, 0), &[&set]);
         let before_h = header(1, 0x0A01_0203);
-        assert_eq!(sw.classify(&before_h).verdict, Verdict::Output(1));
+        assert_eq!(sw.classify_app(FilterKind::Routing, &before_h).verdict, Verdict::Output(1));
         let index_sizes: Vec<usize> = sw.apps[0].tables.iter().map(|t| t.index.len()).collect();
         let action_sizes: Vec<usize> = sw.apps[0].tables.iter().map(|t| t.actions.len()).collect();
         let ledger_before = sw.ledger;
@@ -981,7 +995,7 @@ mod tests {
 
         // Nothing changed: same classification, same structure sizes,
         // same ledger, same rule count.
-        assert_eq!(sw.classify(&before_h).verdict, Verdict::Output(1));
+        assert_eq!(sw.classify_app(FilterKind::Routing, &before_h).verdict, Verdict::Output(1));
         let index_after: Vec<usize> = sw.apps[0].tables.iter().map(|t| t.index.len()).collect();
         let action_after: Vec<usize> = sw.apps[0].tables.iter().map(|t| t.actions.len()).collect();
         assert_eq!(index_after, index_sizes);
@@ -1015,6 +1029,6 @@ mod tests {
             .with(MatchFieldKind::IpProto, 6)
             .with(MatchFieldKind::TcpSrc, 1)
             .with(MatchFieldKind::TcpDst, 40_050);
-        assert_eq!(sw.classify(&h).verdict, Verdict::Drop);
+        assert_eq!(sw.classify_app(FilterKind::Acl, &h).verdict, Verdict::Drop);
     }
 }

@@ -15,9 +15,6 @@
 //!   [`classifier_api::ClassifierBuilder`] /
 //!   [`classifier_api::DynamicClassifier`] implementations, putting the
 //!   architecture behind the same trait as every baseline.
-//! * [`cache`] — the flow/result cache fronting the lookup pipeline:
-//!   fixed-capacity, open-addressed, epoch-stamped so incremental updates
-//!   invalidate in O(1).
 //! * [`config`] — architecture description: which fields in which table,
 //!   searched by which algorithm; presets for the paper's MAC + Routing
 //!   use case (4 OpenFlow tables, 2 MBTs, 2 exact-match LUTs).
@@ -36,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod actions;
-pub mod cache;
 pub mod classifier;
 pub mod config;
 pub mod engine;
@@ -47,9 +43,8 @@ pub mod report;
 pub mod switch;
 pub mod update;
 
-pub use cache::{Admission, CacheStats, FlowCache};
 pub use classifier_api::{
-    BuildError, CachedClassifier, Classifier, ClassifierBuilder, DynamicClassifier, UpdateReport,
+    BuildError, Classifier, ClassifierBuilder, DynamicClassifier, UpdateReport,
 };
 pub use config::{AlgorithmKind, FieldConfig, SwitchConfig, TableConfig};
 pub use engine::FieldEngine;

@@ -627,7 +627,11 @@ mod tests {
                 .with(MatchFieldKind::EthDst, u128::from(rng.gen::<u64>() & 0xFFFF_FFFF_FFFF))
                 .with(MatchFieldKind::InPort, u128::from(rng.gen::<u16>() % 12))
                 .with(MatchFieldKind::Ipv4Dst, u128::from(rng.gen::<u32>()));
-            assert_eq!(back.classify(&h), switch.classify(&h), "header {h}");
+            for app in &switch.apps {
+                let (got, want) =
+                    (back.classify_app(app.kind, &h), switch.classify_app(app.kind, &h));
+                assert_eq!(got, want, "{} header {h}", app.kind);
+            }
         }
     }
 
@@ -658,7 +662,8 @@ mod tests {
                 .with(MatchFieldKind::TcpSrc, u128::from(rng.gen::<u16>()))
                 .with(MatchFieldKind::TcpDst, u128::from(rng.gen::<u16>()))
                 .with(MatchFieldKind::IpProto, u128::from(rng.gen::<u8>() % 4));
-            assert_eq!(back.classify(&h), switch.classify(&h), "header {h}");
+            let kind = offilter::FilterKind::Acl;
+            assert_eq!(back.classify_app(kind, &h), switch.classify_app(kind, &h), "header {h}");
         }
     }
 

@@ -24,7 +24,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 use crate::actions::{ActionRow, ActionTable};
-use crate::cache::FlowCache;
 use crate::config::{SwitchConfig, TableConfig};
 use crate::engine::{FieldEngine, FieldKey};
 use crate::incremental::Owners;
@@ -87,7 +86,7 @@ impl TableEngine {
 /// the widest table visited so far, the index-probe key under assembly,
 /// and the tile-sized buffers of the engine-major batch-rows pipeline.
 /// All grow to a high-water mark and are then reused, so a steady-state
-/// [`MtlSwitch::classify_row`] (and the warmed batch paths) performs zero
+/// [`MtlSwitch::classify_row`] (and the warmed batch path) performs zero
 /// heap allocations.
 #[derive(Default)]
 struct Scratch {
@@ -179,8 +178,7 @@ pub struct MtlSwitch {
     /// Build-time update accounting (feeds the Fig. 5 experiment).
     pub ledger: BuildLedger,
     /// Rule-set generation counter: bumped by every `add_rule` /
-    /// `remove_rule` / rebuild, so epoch-stamped flow caches invalidate
-    /// in O(1) (see [`crate::cache::FlowCache`]).
+    /// `remove_rule` / rebuild, and carried in the encoded image.
     pub(crate) epoch: u64,
 }
 
@@ -212,8 +210,6 @@ impl MtlSwitch {
 
     /// The rule-set generation: incremented by every mutation
     /// ([`MtlSwitch::add_rule`], [`MtlSwitch::remove_rule`], rebuilds).
-    /// Flow caches stamp entries with this value, so a bump invalidates
-    /// every cached result in O(1).
     #[must_use]
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -248,13 +244,6 @@ impl MtlSwitch {
         ClassifyResult { verdict, matched_row, probes, path }
     }
 
-    /// Classifies through the first configured application (single-app
-    /// switches).
-    #[must_use]
-    pub fn classify(&self, header: &HeaderValues) -> ClassifyResult {
-        self.classify_app(self.apps[0].kind, header)
-    }
-
     /// The fast single-packet path: classifies a header through one
     /// application and returns only the matched final-table action row.
     /// Skips the per-table path log of [`MtlSwitch::classify_app`] and
@@ -270,208 +259,61 @@ impl MtlSwitch {
         self.walk_tables(app, header, &mut probes, None).1
     }
 
-    /// The three-stage fast path: flow cache → index → trie. Serves the
-    /// header from `cache` when it holds a current-epoch entry (skipping
-    /// the engine walks and index probes entirely); otherwise runs the
-    /// zero-allocation [`MtlSwitch::classify_row`] walk and memoises the
-    /// result. Cache entries are epoch-stamped, so results are always
-    /// identical to the uncached path — incremental updates invalidate
-    /// the whole cache by bumping [`MtlSwitch::epoch`].
-    ///
-    /// # Panics
-    /// Panics if the switch has no application of that kind.
-    #[must_use]
-    pub fn classify_cached(
-        &self,
-        kind: FilterKind,
-        header: &HeaderValues,
-        cache: &mut FlowCache,
-    ) -> Option<u32> {
-        if let Some(row) = cache.lookup(self.epoch, header) {
-            return row;
-        }
-        let row = self.classify_row(kind, header);
-        cache.insert(self.epoch, header, row);
-        row
-    }
-
-    /// Batched [`MtlSwitch::classify_cached`]: one cache lookup per
-    /// packet, with misses resolved by the zero-allocation per-packet
-    /// walk over the shared thread scratch. On skewed (elephant-flow)
-    /// traffic nearly every packet is a hit and the whole batch touches
-    /// neither tries nor index tables.
-    ///
-    /// # Panics
-    /// Panics if the switch has no application of that kind.
-    #[must_use]
-    pub fn classify_batch_rows_cached(
-        &self,
-        kind: FilterKind,
-        headers: &[HeaderValues],
-        cache: &mut FlowCache,
-    ) -> Vec<Option<u32>> {
-        let app = self.app(kind).expect("application not configured");
-        SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            headers
-                .iter()
-                .map(|h| {
-                    if let Some(row) = cache.lookup(self.epoch, h) {
-                        return row;
-                    }
-                    let mut probes = 0;
-                    let row = self.walk_tables_with(scratch, app, h, &mut probes, None).1;
-                    cache.insert(self.epoch, h, row);
-                    row
-                })
-                .collect()
-        })
-    }
-
-    /// Cache-aware multi-core batch classification: shards `headers`
-    /// over one worker per element of `caches`, each worker serving its
-    /// shard through its **own** flow cache (no locks, and cache warmth
-    /// persists across calls since the caller owns the caches).
-    /// Semantically identical to [`MtlSwitch::classify_batch_rows`].
-    ///
-    /// # Panics
-    /// Panics if `caches` is empty, the switch has no application of that
-    /// kind, or a worker thread panics.
-    #[must_use]
-    pub fn par_classify_batch_cached(
-        &self,
-        kind: FilterKind,
-        headers: &[HeaderValues],
-        caches: &mut [FlowCache],
-    ) -> Vec<Option<u32>> {
-        assert!(!caches.is_empty(), "need at least one worker cache");
-        let threads = caches.len().min(headers.len().max(1));
-        if threads == 1 {
-            return self.classify_batch_rows_cached(kind, headers, &mut caches[0]);
-        }
-        let shard = headers.len().div_ceil(threads);
-        let mut out = Vec::with_capacity(headers.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = headers
-                .chunks(shard)
-                .zip(caches.iter_mut())
-                .map(|(chunk, cache)| {
-                    scope.spawn(move || self.classify_batch_rows_cached(kind, chunk, cache))
-                })
-                .collect();
-            for handle in handles {
-                out.extend(handle.join().expect("classification worker panicked"));
-            }
-        });
-        out
-    }
-
-    /// As [`MtlSwitch::walk_tables_with`], borrowing the thread-local
-    /// scratch for one walk.
+    /// Walks a header through an application's tables on the thread-local
+    /// scratch buffers. Returns the verdict and the final action row (if
+    /// a final table hit); appends `(table, matched?)` pairs to `path`
+    /// when provided.
     fn walk_tables(
         &self,
         app: &AppEngine,
         header: &HeaderValues,
         probes: &mut usize,
-        path: Option<&mut Vec<(u8, bool)>>,
-    ) -> (Verdict, Option<u32>) {
-        SCRATCH
-            .with(|cell| self.walk_tables_with(&mut cell.borrow_mut(), app, header, probes, path))
-    }
-
-    /// Walks a header through an application's tables using the given
-    /// scratch buffers. Returns the verdict and the final action row (if
-    /// a final table hit); appends `(table, matched?)` pairs to `path`
-    /// when provided.
-    fn walk_tables_with(
-        &self,
-        scratch: &mut Scratch,
-        app: &AppEngine,
-        header: &HeaderValues,
-        probes: &mut usize,
         mut path: Option<&mut Vec<(u8, bool)>>,
     ) -> (Verdict, Option<u32>) {
-        let Scratch { chains, key, .. } = scratch;
-        let mut meta: Option<u32> = None;
-        for te in &app.tables {
-            let slots = te.chain_slots();
-            if chains.len() < slots {
-                chains.resize_with(slots, MatchChain::default);
-            }
-            te.fill_chains(header, meta, &mut chains[..slots]);
-            let (hit, used) = te.index.probe_chains_with(&chains[..slots], key);
-            *probes += used;
-            if let Some(p) = path.as_deref_mut() {
-                p.push((te.config.table_id, hit.is_some()));
-            }
-            let Some((_, row)) = hit else {
-                // Table miss: "Send to controller".
-                return (Verdict::ToController, None);
-            };
-            match te.actions.get(row).expect("index row exists") {
-                ActionRow::Continue { meta: m, .. } => meta = Some(*m as u32),
-                ActionRow::Final(action) => {
-                    let verdict = match action {
-                        offilter::RuleAction::Forward(p) => Verdict::Output(*p),
-                        offilter::RuleAction::Deny => Verdict::Drop,
-                        offilter::RuleAction::Controller => Verdict::ToController,
-                    };
-                    return (verdict, Some(row));
+        SCRATCH.with(|cell| {
+            let Scratch { chains, key, .. } = &mut *cell.borrow_mut();
+            let mut meta: Option<u32> = None;
+            for te in &app.tables {
+                let slots = te.chain_slots();
+                if chains.len() < slots {
+                    chains.resize_with(slots, MatchChain::default);
+                }
+                te.fill_chains(header, meta, &mut chains[..slots]);
+                let (hit, used) = te.index.probe_chains_with(&chains[..slots], key);
+                *probes += used;
+                if let Some(p) = path.as_deref_mut() {
+                    p.push((te.config.table_id, hit.is_some()));
+                }
+                let Some((_, row)) = hit else {
+                    // Table miss: "Send to controller".
+                    return (Verdict::ToController, None);
+                };
+                match te.actions.get(row).expect("index row exists") {
+                    ActionRow::Continue { meta: m, .. } => meta = Some(*m as u32),
+                    ActionRow::Final(action) => {
+                        let verdict = match action {
+                            offilter::RuleAction::Forward(p) => Verdict::Output(*p),
+                            offilter::RuleAction::Deny => Verdict::Drop,
+                            offilter::RuleAction::Controller => Verdict::ToController,
+                        };
+                        return (verdict, Some(row));
+                    }
                 }
             }
-        }
-        unreachable!("application chains end in a final table");
-    }
-
-    /// Classifies a batch of headers through one application, processing
-    /// the pipeline *table-major and engine-major*: every live packet of
-    /// a tile is pushed through one field engine before the next engine
-    /// is touched, so per-engine dispatch is amortised across the vector
-    /// — and, more importantly, all label chains are written into one
-    /// flat buffer that is reused across packets, tables and tiles, so
-    /// the steady-state batch path performs no chain allocations at all
-    /// (the per-packet path allocates fresh chains for every lookup).
-    /// Semantically identical to calling [`MtlSwitch::classify_app`] per
-    /// header.
-    ///
-    /// # Panics
-    /// Panics if the switch has no application of that kind.
-    #[must_use]
-    pub fn classify_batch_app(
-        &self,
-        kind: FilterKind,
-        headers: &[HeaderValues],
-    ) -> Vec<ClassifyResult> {
-        let app = self.app(kind).expect("application not configured");
-        let layouts = table_layouts(app);
-        let mut chain_buf: Vec<MatchChain> = Vec::new();
-        let mut value_buf: Vec<Option<u128>> = Vec::new();
-        let mut key_buf: Vec<Label> = Vec::new();
-        let mut out = Vec::with_capacity(headers.len());
-        for tile in headers.chunks(TILE) {
-            classify_tile(
-                app,
-                &layouts,
-                tile,
-                &mut chain_buf,
-                &mut value_buf,
-                &mut key_buf,
-                &mut out,
-            );
-        }
-        out
+            unreachable!("application chains end in a final table");
+        })
     }
 
     /// Batched classification returning only the matched final-table rows
-    /// — the lean path behind the [`classifier_api::Classifier`] batch
-    /// surface. Runs the same engine-major tile pipeline as
-    /// [`MtlSwitch::classify_batch_app`] (per tile, every live packet is
-    /// pushed through one field engine before the next is touched, with
-    /// trie engines walking up to [`ofalgo::MULTI_WAY`] keys
-    /// level-synchronously so independent loads overlap), but skips the
-    /// per-table path log and probe accounting and runs entirely on the
-    /// per-thread scratch: the only per-batch heap write in the steady
-    /// state is the result vector itself.
+    /// — the path behind the [`classifier_api::Classifier`] batch
+    /// surface. Processes the pipeline *table-major and engine-major*: per
+    /// tile, every live packet is pushed through one field engine before
+    /// the next is touched, with trie engines walking up to
+    /// [`ofalgo::MULTI_WAY`] keys level-synchronously so independent loads
+    /// overlap. Runs entirely on the per-thread scratch: the only
+    /// per-batch heap write in the steady state is the result vector
+    /// itself. Row-for-row identical to [`MtlSwitch::classify_row`] per
+    /// header, over any split of the batch.
     ///
     /// # Panics
     /// Panics if the switch has no application of that kind.
@@ -493,33 +335,6 @@ impl MtlSwitch {
         out
     }
 
-    /// Batched classification through the first configured application.
-    #[must_use]
-    pub fn classify_batch(&self, headers: &[HeaderValues]) -> Vec<ClassifyResult> {
-        self.classify_batch_app(self.apps[0].kind, headers)
-    }
-
-    /// Multi-core batched classification: shards `headers` into `threads`
-    /// contiguous chunks and runs [`MtlSwitch::classify_batch_app`] on
-    /// each inside [`std::thread::scope`]. Classification is `&self`, so
-    /// the workers share the built switch with no synchronisation; each
-    /// worker owns its chain buffers (and per-thread scratch), making the
-    /// shards fully independent. Semantically identical to the
-    /// single-threaded batch path.
-    ///
-    /// # Panics
-    /// Panics if the switch has no application of that kind or a worker
-    /// thread panics.
-    #[must_use]
-    pub fn par_classify_batch_app(
-        &self,
-        kind: FilterKind,
-        headers: &[HeaderValues],
-        threads: usize,
-    ) -> Vec<ClassifyResult> {
-        classifier_api::sharded(headers, threads, |chunk| self.classify_batch_app(kind, chunk))
-    }
-
     /// Total rules across applications.
     #[must_use]
     pub fn total_rules(&self) -> usize {
@@ -533,7 +348,7 @@ const TILE: usize = 64;
 
 /// Per table: chain-slot count per packet (metadata + one slot per engine
 /// label position) and each engine's offset within it — the layout of the
-/// flat chain buffers both batch pipelines write.
+/// flat chain buffers the batch pipeline writes.
 fn table_layouts(app: &AppEngine) -> Vec<(usize, Vec<usize>)> {
     app.tables
         .iter()
@@ -553,103 +368,12 @@ fn table_layouts(app: &AppEngine) -> Vec<(usize, Vec<usize>)> {
         .collect()
 }
 
-/// Engine-major classification of one tile of headers, appending one
-/// [`ClassifyResult`] per header to `out`. `layouts` carries each table's
-/// chain-slot stride and per-engine offsets; `chain_buf` is the reusable
-/// flat chain storage, `value_buf` the reusable gathered header values,
-/// and `key_buf` the reusable index-probe key (all grown on demand, never
-/// shrunk).
-fn classify_tile(
-    app: &AppEngine,
-    layouts: &[(usize, Vec<usize>)],
-    headers: &[HeaderValues],
-    chain_buf: &mut Vec<MatchChain>,
-    value_buf: &mut Vec<Option<u128>>,
-    key_buf: &mut Vec<Label>,
-    out: &mut Vec<ClassifyResult>,
-) {
-    let n = headers.len();
-    let mut results: Vec<Option<ClassifyResult>> = (0..n).map(|_| None).collect();
-    let mut probes = vec![0usize; n];
-    let mut paths: Vec<Vec<(u8, bool)>> = vec![Vec::new(); n];
-    let mut meta: Vec<u32> = vec![0; n];
-    // Packets still flowing through the pipeline, by header index.
-    let mut alive: Vec<u32> = (0..n as u32).collect();
-
-    for (te, (stride, offsets)) in app.tables.iter().zip(layouts) {
-        if alive.is_empty() {
-            break;
-        }
-        let stride = *stride;
-        chain_buf.resize_with((alive.len() * stride).max(chain_buf.len()), MatchChain::default);
-        value_buf.resize(alive.len().max(value_buf.len()), None);
-
-        // Chain gathering, engine-major: one engine serves every live
-        // packet before the next engine is touched; trie engines walk
-        // their groups interleaved (level-synchronous multi-key walks).
-        if te.config.uses_metadata {
-            for (slot, &pi) in alive.iter().enumerate() {
-                let chain = &mut chain_buf[slot * stride];
-                chain.clear();
-                chain.push(Label(meta[pi as usize]), u32::MAX);
-            }
-        }
-        for (ei, (field, engine)) in te.engines.iter().enumerate() {
-            for (slot, &pi) in alive.iter().enumerate() {
-                value_buf[slot] = headers[pi as usize].get(*field);
-            }
-            engine.search_many_into(&value_buf[..alive.len()], chain_buf, stride, offsets[ei]);
-        }
-
-        // Index probe + action resolution, per packet.
-        let mut next_alive = Vec::with_capacity(alive.len());
-        for (slot, &pi) in alive.iter().enumerate() {
-            let p = pi as usize;
-            let chains = &chain_buf[slot * stride..(slot + 1) * stride];
-            let (hit, used) = te.index.probe_chains_with(chains, key_buf);
-            probes[p] += used;
-            paths[p].push((te.config.table_id, hit.is_some()));
-            let Some((_, row)) = hit else {
-                results[p] = Some(ClassifyResult {
-                    verdict: Verdict::ToController,
-                    matched_row: None,
-                    probes: probes[p],
-                    path: std::mem::take(&mut paths[p]),
-                });
-                continue;
-            };
-            match te.actions.get(row).expect("index row exists") {
-                ActionRow::Continue { meta: m, .. } => {
-                    meta[p] = *m as u32;
-                    next_alive.push(pi);
-                }
-                ActionRow::Final(action) => {
-                    let verdict = match action {
-                        offilter::RuleAction::Forward(port) => Verdict::Output(*port),
-                        offilter::RuleAction::Deny => Verdict::Drop,
-                        offilter::RuleAction::Controller => Verdict::ToController,
-                    };
-                    results[p] = Some(ClassifyResult {
-                        verdict,
-                        matched_row: Some(row),
-                        probes: probes[p],
-                        path: std::mem::take(&mut paths[p]),
-                    });
-                }
-            }
-        }
-        alive = next_alive;
-    }
-    debug_assert!(alive.is_empty(), "application chains end in a final table");
-    out.extend(results.into_iter().map(|r| r.expect("every packet resolves to a verdict")));
-}
-
-/// The lean, allocation-free sibling of [`classify_tile`]: same
-/// engine-major pipeline (metadata fill, gathered values, interleaved
-/// multi-key trie walks, index probes), but it resolves packets to final
-/// action rows only — no verdicts, no path logs, no probe counters — and
-/// every buffer lives in the per-thread [`Scratch`]. Per-packet state is
-/// in fixed [`TILE`]-sized stack arrays.
+/// Engine-major classification of one tile of headers (metadata fill,
+/// gathered values, interleaved multi-key trie walks, index probes),
+/// appending each packet's final action row to `out` — no verdicts, no
+/// path logs, no probe counters. Every buffer lives in the per-thread
+/// [`Scratch`]; per-packet state is in fixed [`TILE`]-sized stack
+/// arrays.
 fn classify_tile_rows(
     app: &AppEngine,
     layouts: &[(usize, Vec<usize>)],
@@ -937,7 +661,7 @@ mod tests {
         for rule in &set.rules {
             let h = header_for(rule, FilterKind::MacLearning);
             let want = flat_classify(&set, &h).unwrap();
-            let got = sw.classify(&h);
+            let got = sw.classify_app(FilterKind::MacLearning, &h);
             assert_eq!(got.verdict, Verdict::Output(want.action.port().unwrap()), "rule {rule}");
         }
     }
@@ -952,13 +676,13 @@ mod tests {
         let h = HeaderValues::new()
             .with(MatchFieldKind::VlanVid, some_vlan)
             .with(MatchFieldKind::EthDst, 0x0191_0000_0001);
-        let got = sw.classify(&h);
+        let got = sw.classify_app(FilterKind::MacLearning, &h);
         assert_eq!(got.verdict, Verdict::ToController);
         // An unknown VLAN misses in table 0 already.
         let h = HeaderValues::new()
             .with(MatchFieldKind::VlanVid, 0x0FFE)
             .with(MatchFieldKind::EthDst, 1);
-        let got = sw.classify(&h);
+        let got = sw.classify_app(FilterKind::MacLearning, &h);
         assert_eq!(got.verdict, Verdict::ToController);
         assert_eq!(got.path.len(), 1);
     }
@@ -973,7 +697,7 @@ mod tests {
         for rule in &set.rules {
             let h = header_for(rule, FilterKind::Routing);
             let want = flat_classify(&set, &h).expect("rule matches its own header");
-            let got = sw.classify(&h);
+            let got = sw.classify_app(FilterKind::Routing, &h);
             assert_eq!(got.verdict, Verdict::Output(want.action.port().unwrap()), "rule {rule}");
         }
     }
@@ -996,7 +720,7 @@ mod tests {
                 .with(MatchFieldKind::InPort, ports[rng.gen_range(0..ports.len())])
                 .with(MatchFieldKind::Ipv4Dst, u128::from(rng.gen::<u32>()));
             let want = flat_classify(&set, &h);
-            let got = sw.classify(&h);
+            let got = sw.classify_app(FilterKind::Routing, &h);
             match want {
                 Some(rule) => assert_eq!(
                     got.verdict,
@@ -1030,13 +754,13 @@ mod tests {
                     .with(MatchFieldKind::Ipv4Dst, u128::from(rng.gen::<u32>()))
             })
             .collect();
-        let batch = sw.classify_batch(&headers);
+        let batch = sw.classify_batch_rows(FilterKind::Routing, &headers);
         assert_eq!(batch.len(), headers.len());
         for (h, got) in headers.iter().zip(&batch) {
-            assert_eq!(got, &sw.classify(h), "header {h}");
+            assert_eq!(got, &sw.classify_row(FilterKind::Routing, h), "header {h}");
         }
         // Empty batches are fine.
-        assert!(sw.classify_batch(&[]).is_empty());
+        assert!(sw.classify_batch_rows(FilterKind::Routing, &[]).is_empty());
     }
 
     #[test]
@@ -1060,18 +784,23 @@ mod tests {
                     .with(MatchFieldKind::Ipv4Dst, u128::from(rng.gen::<u32>()))
             })
             .collect();
-        let batch = sw.classify_batch(&headers);
-        for (h, want) in headers.iter().zip(&batch) {
+        let batch = sw.classify_batch_rows(FilterKind::Routing, &headers);
+        for (h, row) in headers.iter().zip(&batch) {
             // The pathless fast row equals the full result's matched row.
-            assert_eq!(sw.classify_row(FilterKind::Routing, h), want.matched_row, "header {h}");
+            let want = sw.classify_app(FilterKind::Routing, h).matched_row;
+            assert_eq!(sw.classify_row(FilterKind::Routing, h), want, "header {h}");
+            assert_eq!(*row, want, "batched header {h}");
         }
-        // Sharded classification is element-wise identical, whatever the
-        // thread count (including counts that do not divide the batch).
-        for threads in [1, 2, 3, 7, 300, 512] {
-            let par = sw.par_classify_batch_app(FilterKind::Routing, &headers, threads);
-            assert_eq!(par, batch, "threads = {threads}");
+        // The runtime's shards each classify their own slice of a batch in
+        // parallel: any split answers element-wise identically, including
+        // shard sizes that do not divide the batch or a tile.
+        for shard in [1, 2, 3, 7, 63, 65, 300] {
+            let split: Vec<Option<u32>> = headers
+                .chunks(shard)
+                .flat_map(|chunk| sw.classify_batch_rows(FilterKind::Routing, chunk))
+                .collect();
+            assert_eq!(split, batch, "shard size = {shard}");
         }
-        assert!(sw.par_classify_batch_app(FilterKind::Routing, &[], 4).is_empty());
     }
 
     #[test]
@@ -1102,15 +831,19 @@ mod tests {
         let headers: Vec<HeaderValues> =
             set.rules.iter().map(|r| header_for(r, FilterKind::Routing)).collect();
         for h in &headers {
-            assert_eq!(snapshot.classify(h), sw.classify(h), "header {h}");
+            assert_eq!(
+                snapshot.classify_app(FilterKind::Routing, h),
+                sw.classify_app(FilterKind::Routing, h),
+                "header {h}"
+            );
         }
         // Mutating the original must not leak into the snapshot: the
         // removed rule keeps matching through the old table image.
         let victim = set.rules[0].id;
         let victim_header = header_for(&set.rules[0], FilterKind::Routing);
-        let before = snapshot.classify(&victim_header);
+        let before = snapshot.classify_app(FilterKind::Routing, &victim_header);
         sw.remove_rule(FilterKind::Routing, victim).expect("rule exists");
-        assert_eq!(snapshot.classify(&victim_header), before);
+        assert_eq!(snapshot.classify_app(FilterKind::Routing, &victim_header), before);
         assert!(sw.epoch() > snapshot.epoch(), "mutation bumps only the master epoch");
     }
 
@@ -1183,7 +916,7 @@ mod tests {
         assert_eq!(app.final_rule_ids.len(), set.len());
         for rule in &set.rules {
             let h = header_for(rule, FilterKind::Routing);
-            let got = sw.classify(&h);
+            let got = sw.classify_app(FilterKind::Routing, &h);
             let row = got.matched_row.expect("rule matches its own header");
             let id = app.rule_id_of_row(row).expect("row maps to a rule");
             let want = flat_classify(&set, &h).unwrap();
@@ -1228,19 +961,19 @@ mod tests {
         let h = HeaderValues::new()
             .with(MatchFieldKind::InPort, 1)
             .with(MatchFieldKind::Ipv4Dst, 0x0A01_1234);
-        assert_eq!(sw.classify(&h).verdict, Verdict::Output(100));
+        assert_eq!(sw.classify_app(FilterKind::Routing, &h).verdict, Verdict::Output(100));
 
         // Port 2 in the same region matches rule 1.
         let h = HeaderValues::new()
             .with(MatchFieldKind::InPort, 2)
             .with(MatchFieldKind::Ipv4Dst, 0x0A01_1234);
-        assert_eq!(sw.classify(&h).verdict, Verdict::Output(200));
+        assert_eq!(sw.classify_app(FilterKind::Routing, &h).verdict, Verdict::Output(200));
 
         // Port 2 outside the /20 but inside the /18 matches nothing.
         let h = HeaderValues::new()
             .with(MatchFieldKind::InPort, 2)
             .with(MatchFieldKind::Ipv4Dst, 0x0A01_0234);
-        assert_eq!(sw.classify(&h).verdict, Verdict::ToController);
+        assert_eq!(sw.classify_app(FilterKind::Routing, &h).verdict, Verdict::ToController);
     }
 
     #[test]
@@ -1272,10 +1005,10 @@ mod tests {
         let h = HeaderValues::new()
             .with(MatchFieldKind::InPort, 1)
             .with(MatchFieldKind::Ipv4Dst, 0x0A01_0299);
-        assert_eq!(sw.classify(&h).verdict, Verdict::Output(2));
+        assert_eq!(sw.classify_app(FilterKind::Routing, &h).verdict, Verdict::Output(2));
         let h = HeaderValues::new()
             .with(MatchFieldKind::InPort, 1)
             .with(MatchFieldKind::Ipv4Dst, 0xDEAD_BEEF);
-        assert_eq!(sw.classify(&h).verdict, Verdict::Output(1));
+        assert_eq!(sw.classify_app(FilterKind::Routing, &h).verdict, Verdict::Output(1));
     }
 }

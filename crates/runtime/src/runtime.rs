@@ -1992,10 +1992,9 @@ fn worker_loop<C: Classifier + 'static>(
     // The flow cache's entries are stamped `epoch`: the publish version
     // at which the cache last went as a whole. Versions are unique and
     // strictly monotone per table image, so a dropped row is never
-    // revived. (Folding the table's own `generation()` in would *break*
-    // this: version and generation move in lockstep under add/remove,
-    // and a `swap_table` to a lower-generation table could then
-    // reproduce an old epoch and revive that epoch's stale entries.)
+    // revived. (Folding a per-table counter in would *break* this: a
+    // `swap_table` to a table with a lower counter could reproduce an
+    // old epoch and revive that epoch's stale entries.)
     let mut epoch = version;
     let mut held = Some(first);
     let mut spins = 0u32;
@@ -2329,53 +2328,24 @@ mod tests {
         assert_eq!(rt.classify_batch(std::slice::from_ref(&h)).rows, vec![None]);
     }
 
-    /// Regression: the cache epoch must be the publish version alone.
-    /// Folding the table's `generation()` in lets `swap_table` to a
-    /// lower-generation table reproduce an earlier epoch and serve that
-    /// epoch's stale cached rows.
+    /// Regression: the cache epoch must be the publish version alone,
+    /// so a swapped-in table never inherits the old table's cached rows.
     #[test]
     fn swap_table_to_lower_generation_does_not_revive_stale_cache() {
-        /// A classifier with an arbitrary caller-chosen generation.
-        #[derive(Clone)]
-        struct Gen(Vec<Rule>, u64);
-        impl Classifier for Gen {
-            fn name(&self) -> &str {
-                "gen"
-            }
-            fn classify(&self, header: &HeaderValues) -> Option<u32> {
-                reference_classify(&self.0, header)
-            }
-            fn memory_bits(&self) -> u64 {
-                1
-            }
-            fn lookup_accesses(&self, _header: &HeaderValues) -> usize {
-                1
-            }
-            fn build_records(&self) -> usize {
-                0
-            }
-            fn generation(&self) -> u64 {
-                self.1
-            }
-        }
-
         let h = HeaderValues::new()
             .with(MatchFieldKind::InPort, 3)
             .with(MatchFieldKind::Ipv4Dst, 0x0102_0304u128);
-        // Version 1, generation 2: under a version+generation epoch this
-        // caches at epoch 3.
-        let rt = Runtime::with_control(Gen(vec![route(0, 3, 0, 0, 1)], 2), &quick_config(1));
+        let rt = Runtime::with_control(Scan(vec![route(0, 3, 0, 0, 1)]), &quick_config(1));
         assert_eq!(rt.classify_batch(std::slice::from_ref(&h)).rows, vec![Some(0)]);
         assert_eq!(rt.classify_batch(std::slice::from_ref(&h)).rows, vec![Some(0)], "warm hit");
-        // Version 2, generation 1 — the old epoch arithmetic collides
-        // (2 + 1 == 1 + 2) and would serve the stale Some(0) row; the
-        // new table answers None for this flow.
-        let v = rt.swap_table(Gen(Vec::new(), 1));
+        // The new table answers None for this flow; the warm Some(0) row
+        // must not survive the swap.
+        let v = rt.swap_table(Scan(Vec::new()));
         assert_eq!(v, 2);
         assert_eq!(
             rt.classify_batch(std::slice::from_ref(&h)).rows,
             vec![None],
-            "swap_table must invalidate every cached row, whatever the generations"
+            "swap_table must invalidate every cached row"
         );
     }
 

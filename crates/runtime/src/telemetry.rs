@@ -468,12 +468,16 @@ impl RuntimeTelemetry {
         self.per_shard.iter().map(|s| s.packets).sum()
     }
 
+    /// Cache counters summed over all shards.
+    #[must_use]
+    pub fn cache(&self) -> CacheStats {
+        self.per_shard.iter().map(|s| s.cache).fold(CacheStats::default(), CacheStats::merged)
+    }
+
     /// Aggregate cache hit rate across shards (0 when idle).
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
-        let merged =
-            self.per_shard.iter().map(|s| s.cache).fold(CacheStats::default(), CacheStats::merged);
-        merged.hit_rate()
+        self.cache().hit_rate()
     }
 
     /// Heap allocations observed on any shard's per-packet serve loop.

@@ -79,7 +79,7 @@ fn main() {
             header.set(MatchFieldKind::VlanVid, v & 0xFFF);
         }
 
-        let got = switch.classify(&header);
+        let got = switch.classify_app(FilterKind::MacLearning, &header);
         let want = set
             .rules
             .iter()

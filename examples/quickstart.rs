@@ -41,7 +41,7 @@ fn main() {
         let header = HeaderValues::new()
             .with(MatchFieldKind::InPort, u128::from(port))
             .with(MatchFieldKind::Ipv4Dst, ip(dst));
-        let result = switch.classify(&header);
+        let result = switch.classify_app(FilterKind::Routing, &header);
         println!(
             "  in_port={port} dst={dst:<12} -> {:?}  (index probes: {})",
             result.verdict, result.probes

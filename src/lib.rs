@@ -48,7 +48,7 @@
 //! let header = HeaderValues::new()
 //!     .with(MatchFieldKind::InPort, 1)
 //!     .with(MatchFieldKind::Ipv4Dst, 0x0A01_02FF);
-//! assert_eq!(switch.classify(&header).verdict, Verdict::Output(7));
+//! assert_eq!(switch.classify_app(FilterKind::Routing, &header).verdict, Verdict::Output(7));
 //!
 //! // Every engine — this architecture and all baselines — also speaks
 //! // the unified `Classifier` trait (rule-id results, batch lookup):

@@ -73,7 +73,7 @@ fn flat_acl_agrees_with_reference() {
     let set = generate_acl(&AclConfig { rules: 400, ..AclConfig::default() }, 77);
     let sw = MtlSwitch::build(&SwitchConfig::flat_app(FilterKind::Acl, 0), &[&set]);
     for h in acl_headers(&set, 3_000, 1) {
-        assert_eq!(sw.classify(&h).verdict, reference(&set, &h), "header {h}");
+        assert_eq!(sw.classify_app(FilterKind::Acl, &h).verdict, reference(&set, &h), "header {h}");
     }
 }
 
@@ -101,7 +101,7 @@ fn acl_range_completion_entries_counted() {
     );
     // And classification still matches the reference under heavy nesting.
     for h in acl_headers(&set, 1_500, 2) {
-        assert_eq!(sw.classify(&h).verdict, reference(&set, &h), "header {h}");
+        assert_eq!(sw.classify_app(FilterKind::Acl, &h).verdict, reference(&set, &h), "header {h}");
     }
 }
 

@@ -3,14 +3,17 @@
 //! One parameterized harness checks every implementation — the
 //! decomposition architecture and all four baselines — against
 //! `reference_classify` on synthesized ACL, routing and MAC filter sets,
-//! and checks that `classify_batch` agrees with per-packet `classify`
-//! element by element. Adding a new engine to the conformance list is the
-//! whole cost of validating it.
+//! checks that `classify_batch` agrees with per-packet `classify`
+//! element by element, and serves every engine through a cached,
+//! multi-shard `mtl-runtime` (the one place that parallelises and
+//! caches) to check that serving changes no answer. Adding a new engine
+//! to the conformance list is the whole cost of validating it.
 
 use classifier_api::{
     reference_classify, BuildError, Classifier, ClassifierBuilder, DynamicClassifier,
 };
 use mtl_core::MtlSwitch;
+use mtl_runtime::{Runtime, RuntimeConfig};
 use ofbaseline::hicuts::HiCutsTree;
 use ofbaseline::linear::LinearClassifier;
 use ofbaseline::tcam::TcamModel;
@@ -22,6 +25,7 @@ use offilter::{FilterKind, FilterSet};
 use oflow::{FieldMatch, HeaderValues, MatchFieldKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Builds every `Classifier` implementation over one set.
 fn all_classifiers(set: &FilterSet) -> Vec<Box<dyn Classifier>> {
@@ -78,11 +82,19 @@ fn probe_headers(set: &FilterSet, n: usize, seed: u64) -> Vec<HeaderValues> {
 }
 
 /// The conformance property: classify == oracle, batch == per-packet,
-/// par_classify_batch == batch for any thread count, and the cost
-/// surfaces report sane values.
+/// served by a cached three-shard runtime == batch (cold and warm), and
+/// the cost surfaces report sane values.
 fn assert_conformance(set: &FilterSet, probes: usize, seed: u64) {
     let headers = probe_headers(set, probes, seed);
+    let served = RuntimeConfig {
+        shards: 3,
+        ring_capacity: 8,
+        cache_capacity: 64,
+        pin_workers: false,
+        ..RuntimeConfig::default()
+    };
     for classifier in all_classifiers(set) {
+        let classifier: Arc<dyn Classifier> = Arc::from(classifier);
         let name = classifier.name().to_owned();
         let batch = classifier.classify_batch(&headers);
         assert_eq!(batch.len(), headers.len(), "{name}: batch length");
@@ -92,15 +104,14 @@ fn assert_conformance(set: &FilterSet, probes: usize, seed: u64) {
             assert_eq!(*batched, want, "{name} batch vs oracle on {h}");
             assert!(classifier.lookup_accesses(h) >= 1, "{name}: zero-cost lookup");
         }
-        // Sharded classification is element-wise identical to the batch
-        // (and hence to per-packet classify), for thread counts that
-        // divide the batch, don't, and exceed it.
-        for threads in [1, 2, 3, 8, probes + 7] {
-            let par = classifier.par_classify_batch(&headers, threads);
-            assert_eq!(par, batch, "{name}: par({threads}) vs batch");
+        // Served by the runtime — the batch split over shards, each
+        // shard behind its own flow cache — the answers are element-wise
+        // identical to the batch, cold and from warm caches.
+        let runtime = Runtime::new(Arc::clone(&classifier), &served);
+        for pass in ["cold", "warm"] {
+            assert_eq!(runtime.classify_rows(&headers), batch, "{name}: served ({pass})");
         }
         assert!(classifier.classify_batch(&[]).is_empty(), "{name}: empty batch");
-        assert!(classifier.par_classify_batch(&[], 4).is_empty(), "{name}: empty par batch");
         assert!(classifier.memory_bits() > 0, "{name}: zero memory");
         assert!(classifier.build_records() > 0, "{name}: zero build records");
     }

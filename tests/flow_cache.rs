@@ -1,18 +1,22 @@
-//! Flow-cache consistency under incremental updates.
+//! Flow-cache consistency under incremental updates, through the runtime.
 //!
-//! The cache memoises `header → action row` with an epoch stamp; every
-//! `add_rule` / `remove_rule` bumps the switch epoch, so a cached entry
-//! can never outlive the rule set it was computed against. These tests
-//! drive random interleavings of updates and cached classification and
-//! assert, after **every** update, that cache-enabled classification ==
-//! cache-disabled classification == the reference oracle — exactly the
-//! bug class (serving stale rows) an epoch mistake would produce. Both
-//! admission policies are driven: TinyLFU (the default — its rejections
-//! and sketch-guided evictions must never change *what* is served, only
-//! *whether* it is memoised) and blind replacement.
+//! The runtime is the one place that caches: each shard fronts the
+//! published table with its own `FlowCache`, stamps entries with the
+//! publish version, and on a publish either keeps the entries the change
+//! cannot affect or drops the cache as a whole. These tests drive random
+//! interleavings of control-plane updates and served classification and
+//! assert, after **every** update, that the served answers (cold and
+//! cache-warm) equal the reference oracle — exactly the bug class
+//! (serving stale rows) a carry-over or epoch mistake would produce.
+//! Both admission policies are driven: W-TinyLFU (the default — its
+//! rejections and sketch-guided evictions must never change *what* is
+//! served, only *whether* it is memoised) and blind replacement. The
+//! cache's own invariants are unit-tested on `FlowCache` in
+//! `classifier-api`.
 
-use classifier_api::reference_classify;
-use mtl_core::{FlowCache, MtlSwitch, SwitchConfig};
+use classifier_api::{reference_classify, Admission, ClassifierBuilder};
+use mtl_core::{MtlSwitch, SwitchConfig};
+use mtl_runtime::{Runtime, RuntimeConfig, RuntimeHandle};
 use offilter::{FilterKind, FilterSet, Rule, RuleAction};
 use oflow::{FlowMatch, HeaderValues, MatchFieldKind};
 use proptest::prelude::*;
@@ -78,47 +82,53 @@ fn probes() -> Vec<HeaderValues> {
     out
 }
 
-/// Asserts the three-way agreement on every probe header, through the
-/// single-packet and batch cached surfaces.
-fn assert_consistent(
-    sw: &MtlSwitch,
+/// A small runtime configuration: `shards` unpinned workers, each with
+/// a `capacity`-slot cache under `admission`.
+fn config(shards: usize, capacity: usize, admission: Admission) -> RuntimeConfig {
+    RuntimeConfig {
+        shards,
+        ring_capacity: 8,
+        cache_capacity: capacity,
+        cache_admission: admission,
+        pin_workers: false,
+        ..RuntimeConfig::default()
+    }
+}
+
+/// Asserts that two served passes over `headers` (the second largely
+/// from the now-warm caches) both equal the oracle over `rules`, and
+/// that every packet was served by the latest published version — the
+/// one `rules` describes.
+fn assert_served<C: classifier_api::Classifier + 'static>(
+    rt: &RuntimeHandle<C>,
     rules: &[Rule],
-    cache: &mut FlowCache,
     headers: &[HeaderValues],
     ctx: &str,
 ) {
-    let app = sw.app(FilterKind::Routing).expect("routing app");
-    for h in headers {
-        let uncached_row = sw.classify_row(FilterKind::Routing, h);
-        let cached_row = sw.classify_cached(FilterKind::Routing, h, cache);
-        assert_eq!(cached_row, uncached_row, "{ctx}: cached row differs on {h}");
-        let got_id = uncached_row.and_then(|row| app.rule_id_of_row(row));
-        let want_id = reference_classify(rules, h);
-        assert_eq!(got_id, want_id, "{ctx}: oracle disagrees on {h}");
+    let want: Vec<Option<u32>> = headers.iter().map(|h| reference_classify(rules, h)).collect();
+    for pass in 0..2 {
+        let out = rt.classify_batch(headers);
+        assert_eq!(out.rows, want, "{ctx} pass {pass}");
+        assert!(out.versions.iter().all(|&v| v == rt.version()), "{ctx} pass {pass}: versions");
     }
-    // The batch surface must agree element-wise too (and is served
-    // almost entirely from the now-warm cache).
-    let uncached = sw.classify_batch_rows(FilterKind::Routing, headers);
-    let cached = sw.classify_batch_rows_cached(FilterKind::Routing, headers, cache);
-    assert_eq!(cached, uncached, "{ctx}: cached batch differs");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random interleavings of add_rule / remove_rule with cached
-    /// classification: after every update, caches under **both**
-    /// admission policies must agree with the uncached path and the
-    /// oracle (no stale rows survive an epoch, and TinyLFU's admission
-    /// decisions never alter served results).
+    /// Random interleavings of add_rule / remove_rule with served
+    /// classification: after every update, runtimes caching under
+    /// **both** admission policies must answer as the oracle (no stale
+    /// rows survive a publish, and TinyLFU's admission decisions never
+    /// alter served results).
     #[test]
     fn cached_classification_survives_random_updates(
         seed_mask in 1u32..0xFFFF,
         ops in proptest::collection::vec((any::<bool>(), any::<prop::sample::Index>()), 1..12)
     ) {
         let pool = rule_pool();
-        // Seed switch: the pool rules whose bit is set in seed_mask
-        // (at least one — rule 0 is always included).
+        // Seed table: the pool rules whose bit is set in seed_mask (at
+        // least one — rule 0 is always included).
         let seeded: Vec<Rule> = pool
             .iter()
             .enumerate()
@@ -126,19 +136,21 @@ proptest! {
             .map(|(_, r)| r.clone())
             .collect();
         let set = FilterSet::preserving_ids("fc", FilterKind::Routing, seeded.clone());
-        let config = SwitchConfig::single_app(FilterKind::Routing, 0);
-        let mut sw = MtlSwitch::build(&config, &[&set]);
+        let sw = MtlSwitch::build(&SwitchConfig::single_app(FilterKind::Routing, 0), &[&set]);
         let mut live: Vec<Rule> = seeded;
         // A deliberately tiny TinyLFU cache (constant admission
-        // pressure) and a blind cache.
-        let mut tinylfu = FlowCache::new(16);
-        let mut blind = FlowCache::blind(64);
+        // pressure) and a blind cache, over two shards each.
+        let runtimes = [
+            ("tinylfu", Runtime::with_control(sw.clone(), &config(2, 16, Admission::TinyLfu))),
+            ("blind", Runtime::with_control(sw, &config(2, 64, Admission::Blind))),
+        ];
         let headers = probes();
 
         // Warm the caches on the seed state (entries that MUST not be
         // served stale after the updates below).
-        assert_consistent(&sw, &live, &mut tinylfu, &headers, "seed (tinylfu)");
-        assert_consistent(&sw, &live, &mut blind, &headers, "seed (blind)");
+        for (name, rt) in &runtimes {
+            assert_served(rt, &live, &headers, &format!("seed ({name})"));
+        }
 
         for (i, (add, which)) in ops.iter().enumerate() {
             if *add {
@@ -149,18 +161,23 @@ proptest! {
                     continue;
                 }
                 let rule = missing[which.index(missing.len())].clone();
-                sw.add_rule(FilterKind::Routing, rule.clone());
+                for (_, rt) in &runtimes {
+                    rt.add_rule(rule.clone()).expect("pool rule inserts");
+                }
                 live.push(rule);
             } else {
                 if live.len() <= 1 {
                     continue;
                 }
                 let victim = live[which.index(live.len())].id;
-                sw.remove_rule(FilterKind::Routing, victim).expect("victim is live");
+                for (_, rt) in &runtimes {
+                    rt.remove_rule(victim).expect("victim is live");
+                }
                 live.retain(|r| r.id != victim);
             }
-            assert_consistent(&sw, &live, &mut tinylfu, &headers, &format!("op {i} (tinylfu)"));
-            assert_consistent(&sw, &live, &mut blind, &headers, &format!("op {i} (blind)"));
+            for (name, rt) in &runtimes {
+                assert_served(rt, &live, &headers, &format!("op {i} ({name})"));
+            }
         }
     }
 }
@@ -180,66 +197,48 @@ fn epoch_advances_on_every_mutation() {
     assert!(e2 > e1, "remove_rule must bump the epoch");
 }
 
-/// A baseline engine behind `CachedClassifier` (the unified cache-aware
-/// surface) stays oracle-consistent across dynamic updates forwarded
-/// through the wrapper — TSS bumps its generation on in-place inserts,
-/// and the wrapper's bump counter covers the rest.
+/// A baseline engine served by a caching runtime stays oracle-consistent
+/// across dynamic updates through the control plane: TSS inserts in
+/// place and rebuilds on remove, and the runtime's caches follow both.
 #[test]
 fn cached_tss_stays_consistent_under_updates() {
-    use classifier_api::{CachedClassifier, Classifier, ClassifierBuilder, DynamicClassifier};
     use ofbaseline::tss::TupleSpaceSearch;
     let pool = rule_pool();
     let seed: Vec<Rule> = pool[..8].to_vec();
     let set = FilterSet::preserving_ids("fc", FilterKind::Routing, seed.clone());
-    let mut cached = CachedClassifier::new(TupleSpaceSearch::try_build(&set).unwrap(), 64);
+    let tss = TupleSpaceSearch::try_build(&set).unwrap();
+    let rt = Runtime::with_control(tss, &config(2, 64, Admission::TinyLfu));
     let mut live = seed;
     let headers = probes();
-    let check = |cached: &CachedClassifier<TupleSpaceSearch>, live: &[Rule], ctx: &str| {
-        // Twice: the second pass is served from the (now warm) cache.
-        for pass in 0..2 {
-            for h in &headers {
-                assert_eq!(
-                    cached.classify(h),
-                    reference_classify(live, h),
-                    "{ctx} pass {pass}: {h}"
-                );
-            }
-        }
-    };
-    check(&cached, &live, "seed");
-    cached.insert_rule(pool[10].clone()).expect("tss insert works");
+    assert_served(&rt, &live, &headers, "seed");
+    rt.add_rule(pool[10].clone()).expect("tss insert works");
     live.push(pool[10].clone());
-    check(&cached, &live, "after insert");
+    assert_served(&rt, &live, &headers, "after insert");
     let victim = live[2].id;
-    cached.remove_rule(victim).expect("rule exists");
+    rt.remove_rule(victim).expect("rule exists");
     live.retain(|r| r.id != victim);
-    check(&cached, &live, "after remove");
-    assert!(cached.stats().hits > 0, "warm passes must be served from the cache");
+    assert_served(&rt, &live, &headers, "after remove");
+    assert!(rt.telemetry().cache().hits > 0, "warm passes must be served from the cache");
 }
 
+/// Shards each serve their slice of a batch through their own cache;
+/// whatever the shard count, the merged answers equal the bare batch
+/// path, cold and warm.
 #[test]
 fn cache_aware_parallel_batch_agrees() {
     let pool = rule_pool();
-    let set = FilterSet::preserving_ids("fc", FilterKind::Routing, pool.clone());
-    let config = SwitchConfig::single_app(FilterKind::Routing, 0);
-    let sw = MtlSwitch::build(&config, &[&set]);
+    let set = FilterSet::preserving_ids("fc", FilterKind::Routing, pool);
+    let sw = <MtlSwitch as ClassifierBuilder>::try_build(&set).expect("switch builds");
     // A trace with repeats (cache hits) across shard boundaries.
     let headers: Vec<HeaderValues> =
         (0..500).map(|i| probes()[i % probes().len()].clone()).collect();
-    let want = sw.classify_batch_rows(FilterKind::Routing, &headers);
-    for workers in [1usize, 2, 3, 7] {
-        let mut caches: Vec<FlowCache> = (0..workers).map(|_| FlowCache::new(64)).collect();
-        let got = sw.par_classify_batch_cached(FilterKind::Routing, &headers, &mut caches);
-        assert_eq!(got, want, "workers = {workers}");
+    let want = classifier_api::Classifier::classify_batch(&sw, &headers);
+    for shards in [1usize, 2, 3, 7] {
+        let rt = Runtime::new(sw.clone(), &config(shards, 64, Admission::TinyLfu));
+        assert_eq!(rt.classify_rows(&headers), want, "shards = {shards}");
         // Re-running with warm caches stays identical.
-        let again = sw.par_classify_batch_cached(FilterKind::Routing, &headers, &mut caches);
-        assert_eq!(again, want, "warm workers = {workers}");
-        assert!(
-            caches.iter().map(FlowCache::hits).sum::<u64>() > 0,
-            "warm rerun must serve hits (workers = {workers})"
-        );
+        assert_eq!(rt.classify_rows(&headers), want, "warm shards = {shards}");
+        assert!(rt.telemetry().cache().hits > 0, "warm rerun must serve hits (shards = {shards})");
+        assert!(rt.classify_rows(&[]).is_empty());
     }
-    assert!(sw
-        .par_classify_batch_cached(FilterKind::Routing, &[], &mut [FlowCache::new(16)])
-        .is_empty());
 }

@@ -61,7 +61,8 @@ fn ipv6_lpm_through_eight_partitions() {
     let sw = MtlSwitch::build(&config(), &[&set]);
 
     let classify = |port: u32, dst: &str| {
-        sw.classify(
+        sw.classify_app(
+            FilterKind::Routing,
             &HeaderValues::new()
                 .with(MatchFieldKind::InPort, u128::from(port))
                 .with(MatchFieldKind::Ipv6Dst, v6(dst)),
@@ -107,5 +108,5 @@ fn ipv6_incremental_add() {
     let h = HeaderValues::new()
         .with(MatchFieldKind::InPort, 1)
         .with(MatchFieldKind::Ipv6Dst, v6("2001:db8::42"));
-    assert_eq!(sw.classify(&h).verdict, Verdict::Output(9));
+    assert_eq!(sw.classify_app(FilterKind::Routing, &h).verdict, Verdict::Output(9));
 }

@@ -78,7 +78,7 @@ proptest! {
                 .with(MatchFieldKind::InPort, u128::from(port))
                 .with(MatchFieldKind::Ipv4Dst, u128::from(dst));
             prop_assert_eq!(
-                sw.classify(&h).verdict,
+                sw.classify_app(FilterKind::Routing, &h).verdict,
                 reference(&set, &h),
                 "header {}", h
             );
@@ -101,7 +101,7 @@ proptest! {
                 .with(MatchFieldKind::InPort, u128::from(port))
                 .with(MatchFieldKind::Ipv4Dst, u128::from(dst));
             prop_assert_eq!(
-                sw.classify(&h).verdict,
+                sw.classify_app(FilterKind::Routing, &h).verdict,
                 reference(&set, &h),
                 "header {}", h
             );
@@ -138,7 +138,7 @@ proptest! {
             let h = HeaderValues::new()
                 .with(MatchFieldKind::VlanVid, u128::from(vlan))
                 .with(MatchFieldKind::EthDst, u128::from(mac));
-            prop_assert_eq!(sw.classify(&h).verdict, reference(&set, &h));
+            prop_assert_eq!(sw.classify_app(FilterKind::MacLearning, &h).verdict, reference(&set, &h));
         }
     }
 }
@@ -176,7 +176,11 @@ fn regression_same_level_nesting_with_default() {
             let h = HeaderValues::new()
                 .with(MatchFieldKind::InPort, u128::from(port))
                 .with(MatchFieldKind::Ipv4Dst, dst);
-            assert_eq!(sw.classify(&h).verdict, reference(&set, &h), "port {port} dst {dst:#x}");
+            assert_eq!(
+                sw.classify_app(FilterKind::Routing, &h).verdict,
+                reference(&set, &h),
+                "port {port} dst {dst:#x}"
+            );
         }
     }
 }
