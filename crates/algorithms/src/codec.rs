@@ -10,8 +10,8 @@
 //!   pre-crash oracle by comparing images directly;
 //! * **cold-start speed**: decoding is a linear copy of arenas, not a
 //!   re-run of the build algorithm (no hashing, no trie insertion, no
-//!   prefix expansion) — this is where the snapshot-vs-rebuild gap in
-//!   `BENCH_8.json` comes from.
+//!   prefix expansion) — this is where the snapshot-vs-rebuild gap
+//!   `repro -- coldstart` measures comes from.
 //!
 //! Derived state that is deterministic in the serialized state is *not*
 //! written: a [`PartitionedTrie`]'s ancestor tables are recomputed by

@@ -39,11 +39,12 @@
 //! allocated densely from 0. The walk breaks before touching a level with
 //! no live lanes.
 //!
-//! The lane algorithm itself (shift/mask/select level step) is proven
+//! The lane algorithm itself (shift/mask/select level step) is checked
 //! equivalent to the scalar walk in the standalone `proofs/` workspace:
-//! the `simd_walk_equivalence` Kani harness checks a faithful portable
-//! model of the generic `lookup_impl`/`chain_impl` kernels against the
-//! scalar reference on symbolic lane inputs; the in-tree proptests then
+//! a faithful portable model of the generic `lookup_impl`/`chain_impl`
+//! kernels is compared against the scalar reference on every key of
+//! sample and generated tries, and the `simd_model_matches_real_mbt`
+//! harness pins that model to the real `Mbt`; the in-tree proptests then
 //! pin the real intrinsics to the same results.
 
 #![deny(unsafe_op_in_unsafe_fn)]

@@ -254,7 +254,7 @@ impl Classifier for HiCutsTree {
                         .iter()
                         .map(|&pos| &self.rules[pos as usize])
                         .filter(|r| r.flow_match.matches(header))
-                        .max_by_key(|r| (r.priority, r.flow_match.specificity()))
+                        .max_by_key(|r| classifier_api::precedence(r))
                         .map(|r| r.id);
                 }
                 Node::Internal { field, region, children } => {

@@ -15,11 +15,11 @@ pub struct LinearClassifier {
 }
 
 impl LinearClassifier {
-    /// Builds from rules (sorted internally by descending priority, then
-    /// specificity).
+    /// Builds from rules (sorted internally by descending
+    /// [`classifier_api::precedence`]).
     #[must_use]
     pub fn new(mut rules: Vec<Rule>) -> Self {
-        rules.sort_by_key(|r| std::cmp::Reverse((r.priority, r.flow_match.specificity())));
+        rules.sort_by_key(|r| std::cmp::Reverse(classifier_api::precedence(r)));
         Self { rules }
     }
 

@@ -89,7 +89,7 @@ impl TcamModel {
         let word_bits: u32 = word_fields.iter().map(|f| f.bit_width()).sum();
 
         let mut ordered: Vec<&Rule> = rules.iter().collect();
-        ordered.sort_by_key(|r| std::cmp::Reverse((r.priority, r.flow_match.specificity())));
+        ordered.sort_by_key(|r| std::cmp::Reverse(classifier_api::precedence(r)));
 
         let mut entries = Vec::new();
         for r in &ordered {

@@ -12,6 +12,7 @@
 use crate::{BuildError, Classifier, ClassifierBuilder, DynamicClassifier, UpdateReport};
 use offilter::{FilterSet, Rule};
 use oflow::{FieldMatch, HeaderValues, MatchFieldKind};
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 /// The mask signature of a rule: per field, how it constrains.
@@ -31,8 +32,8 @@ type Signature = Vec<(MatchFieldKind, Dim)>;
 #[derive(Debug, Clone)]
 struct Tuple {
     signature: Signature,
-    /// masked key -> (priority, specificity, rule id)
-    table: HashMap<Vec<u128>, (u16, u32, u32)>,
+    /// masked key -> the best rank among the rules hashed to it
+    table: HashMap<Vec<u128>, Rank>,
 }
 
 impl Tuple {
@@ -94,18 +95,13 @@ fn signature_of(rule: &Rule, fields: &[MatchFieldKind]) -> (Signature, Vec<u128>
     (signature, key)
 }
 
-/// Merges one rule into a tuple's hash table (best priority wins a key).
+/// A rule's [`classifier_api::precedence`]; the greatest wins.
+type Rank = (u16, u32, Reverse<u32>);
+
+/// Merges one rule into a tuple's hash table (the best rank wins a key).
 fn merge_entry(tuple: &mut Tuple, key: Vec<u128>, rule: &Rule) {
-    let candidate = (rule.priority, rule.flow_match.specificity(), rule.id);
-    tuple
-        .table
-        .entry(key)
-        .and_modify(|slot| {
-            if (slot.0, slot.1) < (candidate.0, candidate.1) {
-                *slot = candidate;
-            }
-        })
-        .or_insert(candidate);
+    let candidate = classifier_api::precedence(rule);
+    tuple.table.entry(key).and_modify(|slot| *slot = (*slot).max(candidate)).or_insert(candidate);
 }
 
 impl TupleSpaceSearch {
@@ -211,16 +207,14 @@ impl Classifier for TupleSpaceSearch {
     }
 
     fn classify(&self, header: &HeaderValues) -> Option<u32> {
-        let mut best: Option<(u16, u32, u32)> = None;
+        let mut best: Option<Rank> = None;
         for t in &self.tuples {
             let Some(key) = t.key_of(header) else { continue };
             if let Some(&hit) = t.table.get(&key) {
-                if best.is_none_or(|b| (b.0, b.1) < (hit.0, hit.1)) {
-                    best = Some(hit);
-                }
+                best = best.max(Some(hit));
             }
         }
-        best.map(|(_, _, id)| id)
+        best.map(|(_, _, Reverse(id))| id)
     }
 
     fn memory_bits(&self) -> u64 {

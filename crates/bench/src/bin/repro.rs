@@ -1,34 +1,31 @@
 //! `repro` — regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [EXPERIMENT...] [--seed N] [--full] [--trace FILE]
+//! repro [EXPERIMENT...] [--seed N] [--full]
 //! repro trace convert --pcap FILE [--out FILE] [--port N]
 //!
 //! EXPERIMENT: all (default) | table1 | table2 | table3 | table4
-//!           | fig2 | fig3 | fig4 | fig5 | headline | throughput | cache
-//!           | runtime | coldstart | storm | crashkill | obs | obs-smoke
-//!           | trace-dump
+//!           | fig2 | fig3 | fig4 | fig5 | headline | coldstart | storm
+//!           | crashkill | obs | trace-dump
 //! --seed N      workload RNG seed (default 2015)
 //! --full        generate the four 180k-rule routing sets at full size
 //!               (several extra seconds; default scales them down 20x)
-//! --trace FILE  replay a recorded header trace (ofpacket::trace format)
-//!               through the cache experiment's runtime instead of the
-//!               synthetic Zipf sweep
 //!
 //! trace convert ingests a classic libpcap capture (linktype Ethernet)
-//! into the ofpacket::trace replay format consumed by --trace:
+//! into the ofpacket::trace header-trace format:
 //! --pcap FILE   the capture to convert (required)
 //! --out FILE    output path (default: the capture with a .trace suffix)
 //! --port N      ingress port stamped on every packet (default 0)
 //! ```
 //!
 //! Results print as aligned tables and are also written as JSON under
-//! `target/repro/`.
+//! `target/repro/`. Serving performance (packets/s, latency, update
+//! visibility) is the standalone `benchmark/` package's job.
 
 use mtl_bench::data::Workloads;
 use mtl_bench::{
-    cache, coldstart, crashkill, fig2, fig3, fig4, fig5, headline, obs, runtime, storm, table1,
-    table2, table3, table4, throughput, tracedump, DEFAULT_SEED,
+    coldstart, crashkill, fig2, fig3, fig4, fig5, headline, obs, storm, table1, table2, table3,
+    table4, tracedump, DEFAULT_SEED,
 };
 
 fn main() {
@@ -38,7 +35,6 @@ fn main() {
     }
     let mut seed = DEFAULT_SEED;
     let mut full = false;
-    let mut trace: Option<std::path::PathBuf> = None;
     let mut experiments: Vec<String> = Vec::new();
 
     let mut it = args.iter();
@@ -49,10 +45,6 @@ fn main() {
                 seed = v.parse().unwrap_or_else(|_| usage("--seed must be an integer"));
             }
             "--full" => full = true,
-            "--trace" => {
-                let v = it.next().unwrap_or_else(|| usage("--trace needs a file path"));
-                trace = Some(v.into());
-            }
             "--help" | "-h" => usage(""),
             other if other.starts_with('-') => usage(&format!("unknown flag {other}")),
             other => experiments.push(other.to_owned()),
@@ -72,22 +64,16 @@ fn main() {
         "fig4",
         "fig5",
         "headline",
-        "throughput",
-        "cache",
-        "runtime",
         "coldstart",
         "storm",
         "crashkill",
         "obs",
-        "obs-smoke",
         "trace-dump",
     ];
     let selected: Vec<&str> = if experiments.iter().any(|e| e == "all") {
         // crashkill spawns the separately-built `crashkill_child` binary
         // and SIGKILLs it in a loop — opt in by name, not via `all`.
-        // obs-smoke is the quick CI variant of obs; `all` runs the
-        // real sweep, not both.
-        known.iter().copied().filter(|k| !matches!(*k, "crashkill" | "obs-smoke")).collect()
+        known.iter().copied().filter(|k| *k != "crashkill").collect()
     } else {
         experiments
             .iter()
@@ -126,17 +112,10 @@ fn main() {
             "fig4" => fig4::report(workloads.as_ref().expect("data")),
             "fig5" => fig5::report(workloads.as_ref().expect("data")),
             "headline" => headline::report(workloads.as_ref().expect("data")),
-            "throughput" => throughput::report(workloads.as_ref().expect("data")),
-            "cache" => match &trace {
-                Some(path) => cache::report_recorded(workloads.as_ref().expect("data"), path),
-                None => cache::report(workloads.as_ref().expect("data")),
-            },
-            "runtime" => runtime::report(workloads.as_ref().expect("data")),
             "coldstart" => coldstart::report(),
             "storm" => storm::report(),
             "crashkill" => crashkill::report(),
             "obs" => obs::report(workloads.as_ref().expect("data")),
-            "obs-smoke" => obs::smoke(workloads.as_ref().expect("data")),
             "trace-dump" => tracedump::report(workloads.as_ref().expect("data")),
             _ => unreachable!(),
         }
@@ -149,16 +128,15 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}\n");
     }
     eprintln!(
-        "usage: repro [EXPERIMENT...] [--seed N] [--full] [--trace FILE]\n\
+        "usage: repro [EXPERIMENT...] [--seed N] [--full]\n\
          \x20      repro trace convert --pcap FILE [--out FILE] [--port N]\n\
-         experiments: all table1 table2 table3 table4 fig2 fig3 fig4 fig5 headline throughput \
-         cache runtime coldstart storm crashkill obs obs-smoke trace-dump (crashkill and \
-         obs-smoke are not part of `all`)"
+         experiments: all table1 table2 table3 table4 fig2 fig3 fig4 fig5 headline coldstart \
+         storm crashkill obs trace-dump (crashkill is not part of `all`)"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
-/// The `trace` tool: capture-format conversions feeding `--trace`.
+/// The `trace` tool: capture-format conversions into `ofpacket::trace`.
 fn trace_tool(args: &[String]) {
     if args.first().map(String::as_str) != Some("convert") {
         usage("trace supports one subcommand: convert");
@@ -186,12 +164,7 @@ fn trace_tool(args: &[String]) {
     let out = out.unwrap_or_else(|| pcap.with_extension("trace"));
     match ofpacket::pcap::pcap_to_trace_file(&pcap, &out, port) {
         Ok(packets) => {
-            eprintln!(
-                "converted {packets} packets: {} -> {} (replay with: repro cache --trace {})",
-                pcap.display(),
-                out.display(),
-                out.display()
-            );
+            eprintln!("converted {packets} packets: {} -> {}", pcap.display(), out.display());
         }
         Err(e) => {
             eprintln!("error: cannot convert {}: {e}", pcap.display());

@@ -247,7 +247,7 @@ fn measure(rules: usize, seed: u64, runs: usize) -> ColdstartPoint {
 }
 
 /// Runs the sweep. `assert_floor` enforces the ≥ 5x speedup at the
-/// largest size (CI and the committed `BENCH_8.json` both run with it).
+/// largest size ([`report`], which CI runs, sets it).
 #[must_use]
 pub fn run(sizes: &[usize], seed: u64, runs: usize, assert_floor: bool) -> ColdstartExperiment {
     // Each size point runs on its own thread: a fresh allocator arena
@@ -298,23 +298,11 @@ fn print_experiment(e: &ColdstartExperiment) {
     );
 }
 
-/// Prints the sweep and writes JSON — both the `coldstart` artifact and
-/// the canonical `BENCH_8` artifact (cold-start speedup trajectory),
-/// which CI gates on.
+/// Runs the gated sweep, prints it and writes JSON.
 pub fn report() {
     let e = run(&[1_000, 4_000, 16_000, 32_000], crate::DEFAULT_SEED, 5, true);
     print_experiment(&e);
     write_json("coldstart", &e);
-    write_json("BENCH_8", &e);
-}
-
-/// A quick single-size run for local smoke checks: the identity and
-/// oracle assertions are the point; the speedup floor is recorded but
-/// not enforced at this size.
-pub fn smoke() {
-    let e = run(&[1_000], crate::DEFAULT_SEED, 2, false);
-    print_experiment(&e);
-    write_json("coldstart-smoke", &e);
 }
 
 #[cfg(test)]

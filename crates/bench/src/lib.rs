@@ -4,6 +4,8 @@
 //! typed experiment function that returns printable rows plus JSON output
 //! (written under `target/repro/`). The `repro` binary drives them; the
 //! Criterion benches under `benches/` measure lookup/update/build speed.
+//! End-to-end serving performance is measured by the standalone
+//! `benchmark/` package (see `benchmark/README.md`), not here.
 //!
 //! Experiments that compare lookup engines iterate the
 //! [`registry`] module's `Box<dyn Classifier>` collection — one generic
@@ -21,13 +23,10 @@
 //! | `fig4`   | Fig. 4(a)/(b) (IP trie Kbits per level) | [`fig4`] |
 //! | `fig5`   | Fig. 5 (update cycles, label vs original) | [`fig5`] |
 //! | `headline` | §V.A totals (5 Mbit, 4 tables, MBT share) | [`headline`] |
-//! | `throughput` | (extension) single vs batch lookup per engine + alloc probe | [`throughput`] |
-//! | `cache`  | (extension) runtime-served flow-cache hit rate + ns/pkt under Zipf skew | [`cache`] |
-//! | `runtime` | (extension) sharded-runtime scaling + consistency under rule churn | [`runtime`] |
 //! | `coldstart` | (extension) snapshot-restore vs rebuild-from-rules cold start | [`coldstart`] |
 //! | `storm` | (extension) publish-storm throughput: durability off / WAL-only / WAL+checkpoint | [`storm`] |
 //! | `crashkill` | (extension) real `kill -9` process-crash recovery harness + flight-log post-mortem | [`crashkill`] |
-//! | `obs` | (extension) observability tax: recorder off / rings / rings+sampler per shard count | [`obs`] |
+//! | `obs` | (extension) observability tax: recorder off / rings / rings+sampler per shard count, plus the 4-shard scaling bar | [`obs`] |
 //! | `trace-dump` | (extension) live flight-recorder capture rendered as a Chrome/Perfetto trace | [`tracedump`] |
 
 // Unsafe is denied everywhere except the counting global allocator in
@@ -35,7 +34,6 @@
 #![deny(unsafe_code)]
 
 pub mod alloc_probe;
-pub mod cache;
 pub mod coldstart;
 pub mod crashkill;
 pub mod data;
@@ -47,13 +45,11 @@ pub mod headline;
 pub mod obs;
 pub mod output;
 pub mod registry;
-pub mod runtime;
 pub mod storm;
 pub mod table1;
 pub mod table2;
 pub mod table3;
 pub mod table4;
-pub mod throughput;
 pub mod tracedump;
 
 /// Default RNG seed for every experiment (reproducibility).

@@ -22,6 +22,12 @@
 //! configuration must hold ≥ 97% of the recorder-off throughput — an
 //! observability tax ≤ 3%, which is the number that makes "always on"
 //! defensible.
+//!
+//! The recorder-off column doubles as the runtime's shard-scaling
+//! sweep: on hardware with ≥ 4 cores the gated run also asserts that
+//! 4 shards reach ≥ 2.5x the 1-shard throughput. With fewer cores the
+//! bar cannot physically hold, so the speedup is recorded and the JSON
+//! marks the assertion as skipped.
 
 use crate::data::Workloads;
 use crate::output::{obj, render_table, write_json, Json, ToJson};
@@ -41,6 +47,10 @@ pub const SAMPLER_CADENCE: Duration = Duration::from_millis(2);
 /// The gate: ring+sampler must hold this fraction of recorder-off
 /// throughput at the widest shard count (a ≤ 3% observability tax).
 pub const TAX_FLOOR: f64 = 0.97;
+
+/// The scaling bar: recorder-off throughput at 4 shards over the
+/// 1-shard run, asserted by gated runs on ≥ 4 available cores.
+pub const SCALING_FLOOR: f64 = 2.5;
 
 /// One recorder configuration of the sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,6 +87,9 @@ pub struct ObsPoint {
     pub ring_ratio: f64,
     /// `pps_ring_sampler / pps_off` — the gated number.
     pub sampler_ratio: f64,
+    /// `pps_off` over the 1-shard point's (1.0 when the sweep has no
+    /// 1-shard point).
+    pub speedup: f64,
     /// Events the ring+sampler run recorded.
     pub events_recorded: u64,
     /// Events its rings overwrote before any drain.
@@ -94,6 +107,7 @@ impl ToJson for ObsPoint {
             ("pps_ring_sampler", self.pps_ring_sampler.into()),
             ("ring_ratio", self.ring_ratio.into()),
             ("sampler_ratio", self.sampler_ratio.into()),
+            ("speedup", self.speedup.into()),
             ("events_recorded", self.events_recorded.into()),
             ("events_overwritten", self.events_overwritten.into()),
             ("sampler_samples", self.sampler_samples.into()),
@@ -118,6 +132,11 @@ pub struct ObsExperiment {
     pub tax_asserted: bool,
     /// `sampler_ratio` at the widest shard count — the headline number.
     pub tax_ratio: f64,
+    /// Hardware threads available.
+    pub available_parallelism: usize,
+    /// Whether the 4-shard [`SCALING_FLOOR`] was asserted (gated runs
+    /// with a 1- and a 4-shard point on ≥ 4 cores only).
+    pub scaling_asserted: bool,
     /// One point per shard count, sweep order.
     pub points: Vec<ObsPoint>,
 }
@@ -133,6 +152,8 @@ impl ToJson for ObsExperiment {
             ("tax_floor", self.tax_floor.into()),
             ("tax_asserted", self.tax_asserted.into()),
             ("tax_ratio", self.tax_ratio.into()),
+            ("available_parallelism", self.available_parallelism.into()),
+            ("scaling_asserted", self.scaling_asserted.into()),
             ("points", self.points.to_json()),
         ])
     }
@@ -179,9 +200,10 @@ fn timed_run(
 /// # Panics
 /// Panics if a mode's structural contract breaks (the off mode must
 /// report no trace block, the ring modes must record events, the
-/// sampler must sample), or — when `assert_tax` is set — if the widest
+/// sampler must sample), or — when `gated` is set — if the widest
 /// point's ring+sampler throughput falls below [`TAX_FLOOR`] of the
-/// recorder-off run.
+/// recorder-off run, or if, on ≥ 4 cores, the 4-shard recorder-off run
+/// falls below [`SCALING_FLOOR`] times the 1-shard one.
 #[must_use]
 pub fn run(
     w: &Workloads,
@@ -190,7 +212,7 @@ pub fn run(
     batches: usize,
     shard_counts: &[usize],
     repeats: usize,
-    assert_tax: bool,
+    gated: bool,
 ) -> ObsExperiment {
     let set = w.routing_of(router).expect("routing set exists");
     let cfg = TraceConfig {
@@ -243,20 +265,41 @@ pub fn run(
             pps_ring_sampler: sampler,
             ring_ratio: if off > 0.0 { ring / off } else { 0.0 },
             sampler_ratio: if off > 0.0 { sampler / off } else { 0.0 },
+            speedup: 1.0,
             events_recorded: counters.events_recorded,
             events_overwritten: counters.events_overwritten,
             sampler_samples: counters.sampler_samples,
         });
     }
 
+    if let Some(base) = points.iter().find(|p| p.shards == 1).map(|p| p.pps_off) {
+        for p in &mut points {
+            p.speedup = if base > 0.0 { p.pps_off / base } else { 0.0 };
+        }
+    }
+
     let tax_ratio = points.iter().find(|p| p.shards == widest).map_or(0.0, |p| p.sampler_ratio);
-    if assert_tax {
+    if gated {
         assert!(
             tax_ratio >= TAX_FLOOR,
             "observability tax blew the gate at {widest} shards: ring+sampler holds only \
              {:.1}% of recorder-off throughput (floor {:.0}%)",
             tax_ratio * 100.0,
             TAX_FLOOR * 100.0
+        );
+    }
+    let available_parallelism = std::thread::available_parallelism().map_or(1, usize::from);
+    let four = points.iter().find(|p| p.shards == 4);
+    let scaling_asserted = gated
+        && available_parallelism >= 4
+        && four.is_some()
+        && points.iter().any(|p| p.shards == 1);
+    if scaling_asserted {
+        let four = four.expect("checked above");
+        assert!(
+            four.speedup >= SCALING_FLOOR,
+            "4-shard throughput must reach {SCALING_FLOOR}x the 1-shard run, got {:.2}x",
+            four.speedup
         );
     }
 
@@ -266,8 +309,10 @@ pub fn run(
         batches,
         repeats,
         tax_floor: TAX_FLOOR,
-        tax_asserted: assert_tax,
+        tax_asserted: gated,
         tax_ratio,
+        available_parallelism,
+        scaling_asserted,
         points,
     }
 }
@@ -275,13 +320,19 @@ pub fn run(
 fn print_experiment(e: &ObsExperiment) {
     println!(
         "== Observability tax on {} ({}-packet batches x {}, best of {}; gate: ring+sampler \
-         >= {:.0}% of off at the widest point, {}) ==",
+         >= {:.0}% of off at the widest point, {}; 4-shard off >= {SCALING_FLOOR}x 1-shard, \
+         {}) ==",
         e.router,
         e.batch_size,
         e.batches,
         e.repeats,
         e.tax_floor * 100.0,
         if e.tax_asserted { "asserted" } else { "recorded only" },
+        if e.scaling_asserted {
+            "asserted".to_owned()
+        } else {
+            format!("recorded only ({} hw threads, needs >= 4)", e.available_parallelism)
+        },
     );
     let rows: Vec<Vec<String>> = e
         .points
@@ -290,6 +341,7 @@ fn print_experiment(e: &ObsExperiment) {
             vec![
                 format!("{}", p.shards),
                 format!("{:.2}", p.pps_off / 1e6),
+                format!("{:.2}x", p.speedup),
                 format!("{:.2}", p.pps_ring / 1e6),
                 format!("{:.2}", p.pps_ring_sampler / 1e6),
                 format!("{:.1}%", (1.0 - p.ring_ratio) * 100.0),
@@ -305,6 +357,7 @@ fn print_experiment(e: &ObsExperiment) {
             &[
                 "shards",
                 "off Mpps",
+                "off speedup",
                 "ring Mpps",
                 "ring+smp Mpps",
                 "ring tax",
@@ -317,23 +370,11 @@ fn print_experiment(e: &ObsExperiment) {
     );
 }
 
-/// Prints the sweep and writes JSON — both the `obs` artifact and the
-/// canonical `BENCH_10` artifact, which CI archives and gates.
+/// Runs the gated sweep, prints it and writes JSON.
 pub fn report(w: &Workloads) {
     let e = run(w, "boza", 4096, 48, &[1, 2, 4, 8], 3, true);
     print_experiment(&e);
     write_json("obs", &e);
-    write_json("BENCH_10", &e);
-}
-
-/// A quick 2-shard run for local smoke checks: the structural
-/// assertions (off = no trace block, ring records, sampler samples)
-/// are the point; the tax is recorded, never asserted (too noisy at
-/// smoke scale).
-pub fn smoke(w: &Workloads) {
-    let e = run(w, "bbra", 1024, 12, &[2], 2, false);
-    print_experiment(&e);
-    write_json("obs-smoke", &e);
 }
 
 #[cfg(test)]
@@ -349,6 +390,8 @@ mod tests {
         let e = run(w, "bbra", 256, 6, &[1, 2], 1, false);
         assert_eq!(e.points.len(), 2);
         assert!(!e.tax_asserted);
+        assert!(!e.scaling_asserted, "ungated runs never assert the scaling bar");
+        assert!((e.points[0].speedup - 1.0).abs() < f64::EPSILON, "1-shard point is the base");
         for p in &e.points {
             assert!(p.pps_off > 0.0 && p.pps_ring > 0.0 && p.pps_ring_sampler > 0.0);
             assert!(p.ring_ratio > 0.0 && p.sampler_ratio > 0.0);

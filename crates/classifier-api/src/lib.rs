@@ -20,7 +20,8 @@
 //! * [`ClassifierRegistry`] — a named collection of boxed classifiers the
 //!   bench harness iterates.
 //! * [`reference_classify`] — the highest-priority-match oracle every
-//!   implementation is validated against.
+//!   implementation is validated against, ranking matches by
+//!   [`precedence`].
 //! * [`cache`] — the epoch-stamped [`FlowCache`] (W-TinyLFU admission)
 //!   that `mtl-runtime`'s shards put in front of whatever engine they
 //!   serve; parallelism and caching live there, not in this contract.
@@ -298,7 +299,15 @@ impl<'a> IntoIterator for &'a ClassifierRegistry {
     }
 }
 
-/// Reference decision for a rule set: highest priority, then specificity.
+/// Which of several matching rules answers: the greatest precedence —
+/// highest priority, then highest specificity, then the lowest id.
+#[must_use]
+pub fn precedence(rule: &Rule) -> (u16, u32, std::cmp::Reverse<u32>) {
+    (rule.priority, rule.flow_match.specificity(), std::cmp::Reverse(rule.id))
+}
+
+/// Reference decision for a rule set: the matching rule of greatest
+/// [`precedence`], whatever the rules' order.
 ///
 /// Every [`Classifier`] implementation must agree with this oracle on
 /// every header (the conformance suite checks exactly that).
@@ -307,7 +316,7 @@ pub fn reference_classify(rules: &[Rule], header: &HeaderValues) -> Option<u32> 
     rules
         .iter()
         .filter(|r| r.flow_match.matches(header))
-        .max_by_key(|r| (r.priority, r.flow_match.specificity()))
+        .max_by_key(|r| precedence(r))
         .map(|r| r.id)
 }
 

@@ -15,7 +15,7 @@
 //! identity on bytes. That is the property the chaos suite leans on to
 //! prove a restored runtime equals its pre-crash oracle, and it is why
 //! decoding is a linear arena copy instead of a rebuild (the cold-start
-//! speedup measured in `BENCH_8.json`).
+//! speedup `repro -- coldstart` measures).
 //!
 //! Derived state is recomputed on decode: a trie's ancestor tables by
 //! [`PartitionedTrie::finalize`], a range matcher from its stored range

@@ -1,14 +1,13 @@
 //! # minijson — the workspace's shared dependency-free JSON reader
 //!
 //! A minimal recursive-descent parser over the JSON subset the repo's
-//! own tooling emits (bench artifacts, runtime telemetry, trace
+//! own tooling emits (benchmark results, runtime telemetry, trace
 //! exports). It is strict — unknown syntax is an error, not a guess —
 //! and deliberately tiny: objects keep insertion order, numbers are
 //! `f64` (every value our writers produce fits without loss of
 //! meaning).
 //!
-//! Grown out of `xtask`'s bench-report tooling and promoted to a crate
-//! so telemetry/trace schema tests can *parse* the documents they
+//! Telemetry/trace schema tests use it to *parse* the documents they
 //! validate instead of grepping for needles.
 
 #![forbid(unsafe_code)]

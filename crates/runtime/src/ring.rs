@@ -14,8 +14,8 @@
 //! `head` and `tail` are **free-running** counters: they only ever
 //! increase (wrapping at `usize::MAX`) and are reduced to a slot by
 //! `index & mask`. The invariants the unsafe slot accesses ride on —
-//! machine-checked in `proofs/` (the `ring_indices` Kani harness walks
-//! symbolic op sequences over symbolic capacities and
+//! machine-checked in `proofs/` (the `ring_indices` harness walks every
+//! 12-step push/pop sequence over small capacities and
 //! `usize::MAX`-adjacent starting offsets; the model checker replays
 //! producer/consumer interleavings across wraparound):
 //!

@@ -2298,7 +2298,8 @@ mod tests {
             .with(MatchFieldKind::Ipv4Dst, 0x0A01_0203u128);
         assert_eq!(rt.classify_batch(std::slice::from_ref(&h)).rows, vec![Some(1)]);
 
-        let (report, v2) = rt.add_rule(route(9, 1, 0x0A01_0200, 24, 9)).unwrap();
+        // A /30 under rule 1's /24: priority 30 beats 24.
+        let (report, v2) = rt.add_rule(route(9, 1, 0x0A01_0200, 30, 9)).unwrap();
         assert_eq!(report.records, 1);
         assert_eq!(v2, 2);
         let out = rt.classify_batch(std::slice::from_ref(&h));

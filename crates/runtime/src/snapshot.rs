@@ -34,12 +34,11 @@
 //! ## Reclamation safety argument
 //!
 //! This is the argument every `unsafe` block in this module rides on.
-//! It is machine-checked twice in the standalone `proofs/` workspace:
-//! the **`snapshot_reclamation`** Kani harness drives the protocol
-//! below with a symbolic reader/writer schedule and asserts no
-//! use-after-free and no double-free, and the bounded model checker's
+//! It is machine-checked in the standalone `proofs/` workspace: the
+//! **`snapshot_reclamation`** harness and the bounded model checker's
 //! `publish_load_collect` / `reader_stall` scenarios exhaustively
-//! replay every interleaving of the same ops over modeled atomics.
+//! replay every interleaving of the protocol below over modeled
+//! atomics and assert no use-after-free, no double-free and no leak.
 //!
 //! All the protocol's atomics are `SeqCst`, so there is one total order
 //! over: a reader's announce store (**A**), its pointer load (**L**),

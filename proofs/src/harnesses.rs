@@ -1,157 +1,25 @@
-//! Kani proof harnesses, with stable `cargo test` shims.
+//! Exhaustive `cargo test` harnesses over the protocol models.
 //!
-//! With [Kani](https://model-checking.github.io/kani/) installed,
-//! `cargo kani` compiles this crate under `cfg(kani)` and proves each
-//! `#[kani::proof]` below for **symbolic** inputs — every schedule,
-//! every capacity, every key, within the stated bounds. Without Kani
-//! (the normal offline build) the same properties compile as plain
-//! tests that check the exhaustive-enumeration equivalent: the
-//! [`mck`](crate::mck) checker walks every interleaving the symbolic
-//! schedule ranges over, and the input sweeps enumerate what the
-//! symbolic values range over. The crate therefore always builds and
-//! always tests, Kani or not.
+//! Each harness checks one property for **every** case within stated
+//! bounds: the [`mck`](crate::mck) checker walks every interleaving of
+//! a scenario, and the input sweeps enumerate every capacity, start
+//! offset, operation sequence and key in range. The cross-check
+//! harnesses pin each model to the production code it models, so the
+//! models cannot drift from the code.
 //!
-//! | Harness | Symbolic over | Shim equivalent |
+//! | Harness | Property | Exhaustive over |
 //! |---|---|---|
-//! | `snapshot_reclamation` | reader/writer schedules | DFS over all schedules |
-//! | `ring_indices` | capacity, start offset, op sequence (+ recover drain) | sweep of capacities × wrap-adjacent starts × all op sequences, each ending in a recover drain |
-//! | `doorbell_wakeup` | submit/park schedules | DFS over all schedules |
-//! | `simd_walk_equivalence` | trie entries, lane keys, group size | generated tries × all keys, plus cross-check against the real `ofalgo::Mbt` |
+//! | `snapshot_reclamation` | no use-after-free, double-free or leak on the retire/collect path | all schedules of 1–2 readers × 1–3 publishes |
+//! | `ring_indices` | free-running indices never alias an occupied slot; the recover drain rescues exactly the backlog | capacities 2/4/8 × wrap-adjacent and ordinary starts × all 2^12 push/pop sequences |
+//! | `doorbell_wakeup` | no missed wakeup between the pending check and the park | all schedules of 0–3 jobs |
+//! | `simd_model_matches_real_mbt` | the model's lane walk and scalar walk equal the real `ofalgo::Mbt` walks | generated tries × every key |
+//! | `snapshot_model_matches_real_cell` | the snapshot model agrees with the real `SnapshotCell` | one publish/load schedule |
+//! | `ring_model_matches_real_spsc` | the ring model agrees with the real SPSC ring at the capacity boundary | one fill/drain cycle |
 
-#[cfg(kani)]
-mod verify {
-    use crate::mck::Scenario;
-    use crate::models::doorbell::DoorbellScenario;
-    use crate::models::ring::RingModel;
-    use crate::models::simd::{ModelTrie, LANES, NO_CHILD};
-    use crate::models::snapshot::{Bug, SnapshotScenario};
-
-    /// Drives a scenario with a fully symbolic schedule: every step,
-    /// Kani picks any enabled thread. Asserts deadlock freedom at
-    /// every point and the scenario's own safety properties at every
-    /// step; final invariants whenever the schedule runs to
-    /// completion.
-    fn symbolic_interleaving<S: Scenario>(sc: &S, max_steps: usize) {
-        let mut state = sc.init();
-        for _ in 0..max_steps {
-            if (0..sc.threads()).all(|t| sc.done(&state, t)) {
-                break;
-            }
-            assert!(
-                (0..sc.threads()).any(|t| sc.enabled(&state, t)),
-                "deadlock: live threads but none enabled"
-            );
-            let tid: usize = kani::any();
-            kani::assume(tid < sc.threads() && sc.enabled(&state, tid));
-            if let Err(msg) = sc.step(&mut state, tid) {
-                panic!("{}", msg);
-            }
-        }
-        if (0..sc.threads()).all(|t| sc.done(&state, t)) {
-            if let Err(msg) = sc.check_final(&state) {
-                panic!("{}", msg);
-            }
-        }
-    }
-
-    /// No use-after-free, no double-free, no leak on the
-    /// `SnapshotCell` retire/collect path, for every interleaving of
-    /// one granular reader with a writer publishing twice. Cited by
-    /// the reclamation safety argument in `mtl-runtime/src/snapshot.rs`.
-    #[kani::proof]
-    #[kani::unwind(40)]
-    fn snapshot_reclamation() {
-        let sc = SnapshotScenario { readers: 1, publishes: 2, bug: Bug::None };
-        symbolic_interleaving(&sc, 24);
-    }
-
-    /// The free-running index arithmetic never aliases an occupied
-    /// slot, never over- or under-counts occupancy, and preserves FIFO
-    /// order — for a symbolic power-of-two capacity, a fully symbolic
-    /// starting offset (so `usize::MAX` wraparound is covered), and
-    /// every push/pop sequence of length 12 — and from *any* state such
-    /// a sequence leaves behind, the supervisor's `Producer::recover`
-    /// drain rescues exactly the buffered backlog, in FIFO order,
-    /// leaving the ring empty. Cited by the index protocol docs in
-    /// `mtl-runtime/src/ring.rs`.
-    #[kani::proof]
-    #[kani::unwind(16)]
-    fn ring_indices() {
-        let exp: u32 = kani::any();
-        kani::assume((1..=3).contains(&exp)); // capacities 2, 4, 8
-        let start: usize = kani::any();
-        let mut m = RingModel::new(1 << exp, start, false);
-        for _ in 0..12 {
-            let push: bool = kani::any();
-            let step = if push { m.push() } else { m.pop() };
-            assert!(step.is_ok(), "ring invariant violated");
-        }
-        assert!(m.recover().is_ok(), "recover drain violated an invariant");
-    }
-
-    /// No missed wakeup on the doorbell park/unpark path: for every
-    /// interleaving of a submitter (push + ring, then stop + ring) and
-    /// a parking worker, some thread is always runnable and every job
-    /// is processed. Cited by `Doorbell` in
-    /// `mtl-runtime/src/runtime.rs`.
-    #[kani::proof]
-    #[kani::unwind(40)]
-    fn doorbell_wakeup() {
-        let sc = DoorbellScenario { jobs: 2, bare_notify: false };
-        symbolic_interleaving(&sc, 32);
-    }
-
-    /// The branchless lane kernel computes exactly the scalar walk:
-    /// for a two-level trie with fully symbolic packed entries
-    /// (constrained only to the structural validity the gather's
-    /// in-bounds argument needs) and fully symbolic lane keys, every
-    /// lane of `lookup_lanes` equals `lookup_scalar` and every chain
-    /// of `chain_lanes` equals `chain_scalar`. Cited by the module
-    /// docs of `ofalgo/src/trie/simd.rs`.
-    #[kani::proof]
-    #[kani::unwind(16)]
-    fn simd_walk_equivalence() {
-        let mut t = ModelTrie::new(&[2, 2]);
-        assert_eq!(t.alloc_block(1), 0);
-        assert_eq!(t.alloc_block(1), 1);
-        // Level 0: one block of 4 symbolic words; children point into
-        // level 1's two blocks or nowhere.
-        for i in 0..4 {
-            let word: u64 = kani::any();
-            let child = word & NO_CHILD;
-            kani::assume(child == NO_CHILD || child < 2);
-            t.set_word(0, i, word);
-        }
-        // Level 1 (last): two blocks of symbolic words, no children.
-        for i in 0..8 {
-            let word: u64 = kani::any();
-            kani::assume(word & NO_CHILD == NO_CHILD);
-            t.set_word(1, i, word);
-        }
-        assert!(t.is_valid());
-
-        let n: usize = kani::any();
-        kani::assume((1..=LANES).contains(&n));
-        let mut keys = [0u64; LANES];
-        for k in keys.iter_mut() {
-            *k = kani::any();
-            kani::assume(*k < 1 << t.total_bits());
-        }
-        let got = t.lookup_lanes(&keys[..n]);
-        let chains = t.chain_lanes(&keys[..n]);
-        for (i, &key) in keys[..n].iter().enumerate() {
-            assert!(got[i] == t.lookup_scalar(key), "lane lookup diverged from scalar");
-            assert!(chains[i] == t.chain_scalar(key), "lane chain diverged from scalar");
-        }
-    }
-}
-
-/// Stable shims: the exhaustive-enumeration equivalents of the Kani
-/// harnesses, run by plain `cargo test`. Each shim covers the same
-/// property over the concrete portion of the symbolic input space that
-/// is enumerable in milliseconds, and cross-checks the models against
-/// the real implementations so the proofs can't drift from the code.
-#[cfg(all(test, not(kani)))]
+/// The harnesses, run by plain `cargo test`. Each covers its property
+/// over an input space that is enumerable in milliseconds, and
+/// cross-checks the models against the real implementations.
+#[cfg(test)]
 mod shims {
     use crate::mck::Checker;
     use crate::models::doorbell::DoorbellScenario;
@@ -160,9 +28,8 @@ mod shims {
     use crate::models::snapshot::{Bug, SnapshotScenario};
     use ofalgo::{Label, Mbt, StrideSchedule, MULTI_WAY};
 
-    /// Exhaustive-DFS twin of the `snapshot_reclamation` proof, plus
-    /// the two-reader configuration the symbolic harness keeps
-    /// bounded.
+    /// Exhaustive DFS over every reader/writer/collect schedule, up to
+    /// two readers.
     #[test]
     fn snapshot_reclamation() {
         for (readers, publishes) in [(1, 2), (1, 3), (2, 1), (2, 2)] {
@@ -172,9 +39,8 @@ mod shims {
         }
     }
 
-    /// Exhaustive twin of the `ring_indices` proof: every capacity the
-    /// symbolic harness ranges over, wrap-adjacent and ordinary start
-    /// offsets, and all 2^12 push/pop sequences — each followed by the
+    /// Every small power-of-two capacity, wrap-adjacent and ordinary
+    /// start offsets, and all 2^12 push/pop sequences — each followed by the
     /// `Producer::recover` drain, which must rescue exactly the
     /// buffered backlog from whatever state the sequence left.
     #[test]
@@ -197,7 +63,7 @@ mod shims {
         }
     }
 
-    /// Exhaustive-DFS twin of the `doorbell_wakeup` proof.
+    /// Exhaustive DFS over every submit/park schedule.
     #[test]
     fn doorbell_wakeup() {
         for jobs in 0..=3 {
@@ -208,10 +74,10 @@ mod shims {
 
     /// The model trie must agree with the real `ofalgo::Mbt` — scalar
     /// and multi-key walks — on identical prefix sets, over the whole
-    /// key space. This pins the `simd_walk_equivalence` model to the
-    /// code it models: if either walk or the packed layout drifts,
-    /// this shim fails before the proof goes stale. (A deterministic
-    /// LCG generates the prefix sets; no RNG dependency.)
+    /// key space. This pins the SIMD kernel model to the code it
+    /// models: if either walk or the packed layout drifts, this
+    /// harness fails. (A deterministic LCG generates the prefix sets;
+    /// no RNG dependency.)
     #[test]
     fn simd_model_matches_real_mbt() {
         assert_eq!(LANES, MULTI_WAY, "lane-count drift between model and production");

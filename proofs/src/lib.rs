@@ -6,24 +6,21 @@
 //! instead of by prose alone. It contains no unsafety itself
 //! (`#![forbid(unsafe_code)]`) — it checks **models**: small, faithful
 //! ports of each protocol whose every shared-memory step is explicit,
-//! so an exhaustive checker (or a symbolic one) can walk the
-//! interleaving space the test suite can only sample.
+//! so an exhaustive checker can walk the interleaving space the test
+//! suite can only sample.
 //!
-//! Two engines check the same models:
+//! Two layers check the models:
 //!
 //! * **[`mck`]** — a bounded model checker: scenarios expose their
 //!   threads as resumable step functions over cloneable state, and the
 //!   checker enumerates *every* schedule by depth-first search, with
 //!   deadlock detection and weak fairness for spin loops. Runs on
 //!   stable `cargo test`, no dependencies, deterministic.
-//! * **[`harnesses`]** — [Kani](https://model-checking.github.io/kani/)
-//!   proof harnesses driving the same models with *symbolic* schedules
-//!   and inputs (`cargo kani` when installed). Each harness compiles as
-//!   a plain `cargo test` shim when Kani is absent — the crate is
-//!   always buildable offline, and the shim runs the exhaustive-DFS
-//!   equivalent of the symbolic proof.
+//! * **[`harnesses`]** — `cargo test` harnesses that drive the models
+//!   exhaustively over bounded schedules and inputs, and cross-check
+//!   each model against the real implementation.
 //!
-//! What is proven, and where the production code cites it:
+//! What is checked, and where the production code cites it:
 //!
 //! | Harness / scenario | Property | Production site |
 //! |---|---|---|
@@ -31,9 +28,9 @@
 //! | `two_image_alternation`, `stalled_reader_costs_a_copy_not_a_wait` | the control plane edits a table image in place only when no reader holds or can still acquire it; a stalled reader forces the copy arm and never blocks the writer; the two images stay one operation apart | `mtl-runtime/src/runtime.rs` (`RuntimeHandle::update`, `Shared::writable_spare`) |
 //! | `ring_indices`, `ring_wraparound` | free-running head/tail arithmetic never aliases an occupied slot, across `usize::MAX` wraparound, for any power-of-two capacity | `mtl-runtime/src/ring.rs` (index protocol) |
 //! | `doorbell_wakeup` (+ a deliberately buggy variant the checker must catch) | no missed wakeup between the pending check and the park | `mtl-runtime/src/runtime.rs` (`Doorbell`) |
-//! | `simd_walk_equivalence` | the branchless lane kernel computes exactly the scalar longest-prefix walk | `ofalgo/src/trie/simd.rs` (`lookup_impl`/`chain_impl`) |
+//! | `simd_model_matches_real_mbt`, `lane_walk_equals_scalar_walk_on_every_key` | the branchless lane kernel computes exactly the scalar longest-prefix walk | `ofalgo/src/trie/simd.rs` (`lookup_impl`/`chain_impl`) |
 //!
-//! The models are kept honest two ways: shim tests cross-check them
+//! The models are kept honest two ways: harnesses cross-check them
 //! against the real `ofalgo`/`mtl-runtime` implementations on common
 //! inputs, and each *negative* scenario (a seeded protocol bug) must be
 //! caught by the checker — a checker that stops finding the seeded

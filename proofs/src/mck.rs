@@ -212,10 +212,8 @@ impl<St: Clone + Eq + Hash> Search<'_, St> {
 }
 
 /// Runs one explicit schedule (for replaying a failing trace from an
-/// [`Outcome`], and for the Kani harnesses, which drive this with a
-/// *symbolic* schedule so every feasible prefix is checked at once).
-/// Entries whose thread is done or not enabled are skipped, so a
-/// symbolic schedule covers exactly the feasible interleavings.
+/// [`Outcome`]). Entries whose thread is done or not enabled are
+/// skipped, so any schedule covers exactly a feasible interleaving.
 /// Returns the final state and the number of steps actually taken;
 /// runs the final checks only if the schedule ran every thread to
 /// completion.

@@ -11,9 +11,9 @@
 //! Two models check that claim:
 //!
 //! * [`RingModel`] — the index *arithmetic* alone, sequentially, for
-//!   symbolic capacities and starting offsets ([`harnesses::ring_indices`]
-//!   drives it with symbolic push/pop sequences; the stable shim
-//!   enumerates them exhaustively). Each slot carries an occupancy bit
+//!   any capacity and starting offset ([`harnesses::ring_indices`]
+//!   enumerates push/pop sequences over small capacities and
+//!   wrap-adjacent offsets exhaustively). Each slot carries an occupancy bit
 //!   and a FIFO stamp, so aliasing and reordering are direct checks.
 //! * [`SpscScenario`] — the concurrent two-thread protocol at
 //!   atomic-step granularity for the [`mck`](crate::mck) checker: load

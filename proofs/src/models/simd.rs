@@ -13,8 +13,8 @@
 //!
 //! * [`ModelTrie`] — packed `(label << 40) | (len << 32) | child`
 //!   words, per-level flat arenas, the same MSB-first stride indexing,
-//!   and the same leaf-pushing insert as `trie/build.rs` (so shim
-//!   tests can cross-check the model against the real `Mbt` result for
+//!   and the same leaf-pushing insert as `trie/build.rs` (so the
+//!   harnesses can cross-check the model against the real `Mbt` result for
 //!   result equality on identical prefix sets);
 //! * [`LaneVec`] — the `Lanes` vocabulary (`srl`/`and`/`cmpeq`/
 //!   `select`/`gather`/…) as element-wise array operations;
@@ -23,14 +23,14 @@
 //!   [`LaneVec`], checked against [`ModelTrie::lookup_scalar`] /
 //!   [`ModelTrie::chain_scalar`] (ports of the scalar walk).
 //!
-//! The `simd_walk_equivalence` Kani harness drives the comparison with
-//! symbolic trie entries and symbolic keys; the stable shim enumerates
-//! keys exhaustively over generated tries. The remaining gap — that
+//! This module's tests and the `simd_model_matches_real_mbt` harness
+//! enumerate keys exhaustively over sample and generated tries. The
+//! remaining gap — that
 //! the real intrinsics implement the `Lanes` contract — is covered by
 //! the in-tree property tests comparing the production SIMD walk
 //! bit-for-bit against the production scalar walk.
 
-/// Lane count, mirroring `MULTI_WAY` (re-exported so the shims can
+/// Lane count, mirroring `MULTI_WAY` (re-exported so the harnesses can
 /// assert the two never drift).
 pub const LANES: usize = 8;
 
@@ -236,9 +236,8 @@ impl ModelTrie {
 
     /// Checks the structural invariant the vector gather's in-bounds
     /// argument rides on: every child pointer names an allocated block
-    /// of the next level, and the last level has no children. Called
-    /// by the harnesses on symbolic tries (as an assumption) and on
-    /// built tries (as an assertion).
+    /// of the next level, and the last level has no children. The
+    /// harnesses assert it on every built trie.
     #[must_use]
     pub fn is_valid(&self) -> bool {
         self.levels.iter().enumerate().all(|(l, words)| {
@@ -368,20 +367,6 @@ impl ModelTrie {
         }
         outs
     }
-
-    /// Direct arena access for the harnesses that build *symbolic*
-    /// tries: level `l`, packed word index `i`.
-    pub fn set_word(&mut self, l: usize, i: usize, word: u64) {
-        self.levels[l][i] = word;
-    }
-
-    /// Grows level `l` by one zeroed block and returns its index.
-    pub fn alloc_block(&mut self, l: usize) -> u64 {
-        let stride = self.strides[l];
-        let block = self.levels[l].len() >> stride;
-        self.levels[l].extend(std::iter::repeat_n(EMPTY, 1 << stride));
-        block as u64
-    }
 }
 
 /// All-ones masks for the first `n` lanes — the production `live_init`.
@@ -444,7 +429,7 @@ mod tests {
         // len-0 prefixes also cover this key but share a level with a
         // longer prefix whose leaf-push overwrote their slots — real
         // `chain_into` has the same shadowing, which the
-        // `simd_model_matches_real_mbt` shim cross-checks.
+        // `simd_model_matches_real_mbt` harness cross-checks.
         assert_eq!(t.chain_scalar(0b101101), vec![(5, 6), (4, 4), (2, 1)]);
     }
 

@@ -9,8 +9,7 @@
 //! entry is dropped exactly once (no double-free) with nothing leaked.
 //! This model re-states the protocol at exactly that step granularity
 //! over a modeled heap of refcounted allocations, so the checker can
-//! walk **every** A/L/W/S interleaving and the Kani harness can walk
-//! them symbolically.
+//! walk **every** A/L/W/S interleaving.
 //!
 //! The modeled heap turns the unsafe operations into checkable ones:
 //! `Arc::increment_strong_count` on a freed allocation is the
@@ -65,7 +64,7 @@ pub struct SnapshotScenario {
 
 /// Shared state: the modeled heap, the cell, and every thread's
 /// program counter and locals. Flat fixed-size arrays so cloning and
-/// hashing stay cheap for the checker and bounded for Kani.
+/// hashing stay cheap for the checker.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SnapState {
     /// Modeled `Arc` strong counts, by allocation id.

@@ -185,6 +185,33 @@ fn conformance_on_tiny_and_degenerate_sets() {
         )],
     );
     assert_conformance(&one, 100, 81);
+
+    // Full ties on (priority, specificity) go to the lowest id, in either
+    // rule order: one match twice, and two different 32-bit matches (the
+    // port alone vs a /32 destination).
+    let rule = |id: u32, port: Option<u128>, dst: (u128, u32)| {
+        let m = FlowMatch::any().with_prefix(MatchFieldKind::Ipv4Dst, dst.0, dst.1).unwrap();
+        let m = match port {
+            Some(p) => m.with_exact(MatchFieldKind::InPort, p).unwrap(),
+            None => m,
+        };
+        Rule::new(id, 8, m, RuleAction::Forward(id))
+    };
+    let same = [rule(3, Some(1), (0x0A00_0000, 8)), rule(5, Some(1), (0x0A00_0000, 8))];
+    let crossed = [rule(3, Some(1), (0, 0)), rule(5, None, (0x0A00_0001, 32))];
+    let h = HeaderValues::new()
+        .with(MatchFieldKind::InPort, 1)
+        .with(MatchFieldKind::Ipv4Dst, 0x0A00_0001);
+    for pair in [same, crossed] {
+        for rules in [pair.to_vec(), pair.iter().rev().cloned().collect()] {
+            assert_eq!(reference_classify(&rules, &h), Some(3), "{rules:?}");
+            assert_conformance(
+                &FilterSet::preserving_ids("tie", FilterKind::Routing, rules),
+                100,
+                91,
+            );
+        }
+    }
 }
 
 #[test]

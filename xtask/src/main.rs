@@ -1,16 +1,10 @@
-//! Repo automation tasks.
+//! Repo automation: `lint-unsafe`, the unsafe-hygiene static-analysis
+//! pass that CI runs on every push.
 //!
 //! ```text
 //! cargo run -p xtask -- lint-unsafe            # enforce the unsafe allowlist
 //! cargo run -p xtask -- lint-unsafe --counts   # print per-file unsafe-site counts
-//! cargo run -p xtask -- bench-report           # regenerate benches/RESULTS.md
-//! cargo run -p xtask -- bench-report --check   # fail if RESULTS.md drifted
-//! cargo run -p xtask -- bench-gate             # perf floors + >10% regression gate
 //! ```
-//!
-//! `bench-report` / `bench-gate` live in [`bench`]; the rest of this
-//! file is `lint-unsafe`, the unsafe-hygiene static-analysis pass that
-//! CI runs on every push.
 //!
 //! The pass walks every `.rs` file in the repository (excluding build
 //! output) and:
@@ -35,8 +29,6 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-mod bench;
-
 /// The unsafe islands: every file permitted to contain `unsafe`, with
 /// the maximum number of `unsafe` tokens it may carry. Everything else
 /// in the repository must be 100% safe code (most crates additionally
@@ -44,15 +36,15 @@ mod bench;
 ///
 /// Raising a budget is a reviewed act: the new site needs a `// SAFETY:`
 /// comment (clippy enforces it) and, where the invariant is not local,
-/// a matching harness or scenario in `proofs/`.
+/// a matching shim or scenario in `proofs/`.
 const ALLOWED: &[(&str, usize)] = &[
     // RCU snapshot cell: raw-pointer Arc juggling on the epoch
-    // reclamation path. Proven by `proofs/` (snapshot_reclamation Kani
-    // harness + publish/load/collect model-checker scenarios).
+    // reclamation path. Checked by `proofs/` (the snapshot_reclamation
+    // shim + publish/load/collect model-checker scenarios).
     ("crates/runtime/src/snapshot.rs", 8),
     // Lamport SPSC ring: UnsafeCell slot transfers guarded by the
-    // head/tail protocol. Proven by `proofs/` (ring_indices Kani
-    // harness + wraparound model-checker scenario). The sixth site is
+    // head/tail protocol. Checked by `proofs/` (the ring_indices shim
+    // + wraparound model-checker scenario). The sixth site is
     // `drain_owned`, the supervisor's backlog-recovery drain, which only
     // runs after `Arc::try_unwrap` proved exclusive ownership
     // (cross-checked against the model queue in `proofs/`).
@@ -60,8 +52,8 @@ const ALLOWED: &[(&str, usize)] = &[
     // Best-effort sched_setaffinity FFI (one syscall, read-only mask).
     ("crates/runtime/src/pin.rs", 1),
     // SIMD trie kernels: arch intrinsics + unchecked arena gathers.
-    // Proven equivalent to the scalar walk by `proofs/`
-    // (simd_walk_equivalence Kani harness) and the in-tree proptests.
+    // Checked equivalent to the scalar walk by `proofs/` (the
+    // simd_walk_equivalence shim) and the in-tree proptests.
     // The count includes every `unsafe fn` in the private `Lanes`
     // vocabulary plus its explicit `unsafe {}` body block (one SAFETY
     // comment each, enforced by clippy).
@@ -78,23 +70,8 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint-unsafe") => lint_unsafe(args.iter().any(|a| a == "--counts")),
-        Some("bench-report") => bench::report(&repo_root(), args.iter().any(|a| a == "--check")),
-        Some("bench-gate") => {
-            let candidate = args
-                .iter()
-                .position(|a| a == "--candidate")
-                .and_then(|i| args.get(i + 1))
-                .map_or_else(|| repo_root().join("target/repro"), PathBuf::from);
-            bench::gate(&repo_root(), &candidate)
-        }
         _ => {
-            eprintln!(
-                "usage: cargo run -p xtask -- <task>\n\
-                 tasks:\n  \
-                 lint-unsafe [--counts]\n  \
-                 bench-report [--check]\n  \
-                 bench-gate [--candidate <dir>]"
-            );
+            eprintln!("usage: cargo run -p xtask -- lint-unsafe [--counts]");
             ExitCode::FAILURE
         }
     }
