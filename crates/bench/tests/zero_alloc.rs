@@ -11,7 +11,10 @@
 //!   [`RuntimeConfig::alloc_counter`] and surfaced as `hot_path_allocs`;
 //! * the same serve loop at 1 and 2 shards while a control-plane thread
 //!   adds and removes rules, so every batch may run behind a fresh
-//!   publish.
+//!   publish;
+//! * the serve loop at 1 and 2 shards under a scan that holds the flow
+//!   caches in bypass (every packet straight from the table, about one
+//!   in 64 through the cache).
 
 use classifier_api::{Admission, Classifier, ClassifierBuilder};
 use mtl_bench::alloc_probe;
@@ -19,7 +22,7 @@ use mtl_bench::data::Workloads;
 use mtl_bench::table1::probe_trace;
 use mtl_core::MtlSwitch;
 use mtl_runtime::{Runtime, RuntimeConfig};
-use offilter::synth::{generate_trace, TraceConfig};
+use offilter::synth::{generate_scan_trace, generate_trace, TraceConfig};
 use offilter::{FilterSet, Rule, RuleAction};
 use oflow::{FlowMatch, HeaderValues, MatchFieldKind};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
@@ -155,6 +158,41 @@ fn serve_loop_stays_allocation_free_under_churn() {
             rt.telemetry().hot_path_allocs() - warm,
             0,
             "{shards} shards: the warmed serve loop must not allocate under churn"
+        );
+        rt.shutdown();
+    }
+}
+
+#[test]
+fn bypassed_serve_loop_is_allocation_free() {
+    let set = bbra();
+    let sw = switch(set);
+    // Twelve batches of never-repeating flows, each 16x a shard's cache.
+    let scan = generate_scan_trace(set, 12 * 1024, mtl_bench::DEFAULT_SEED);
+    let batches: Vec<Arc<[HeaderValues]>> = scan.chunks(1024).map(Arc::from).collect();
+    for shards in [1, 2] {
+        let rt = Runtime::with_control(sw.clone(), &probed(shards, 64, Admission::TinyLfu));
+        // The first batches fill each cache's first two decision
+        // windows with misses; from then on the shards bypass.
+        for batch in &batches[..4] {
+            let _ = rt.submit(Arc::clone(batch)).wait();
+        }
+        let warm = rt.telemetry();
+        for batch in &batches[4..] {
+            let out = rt.submit(Arc::clone(batch)).wait();
+            assert_eq!(out.rows, Classifier::classify_batch(&sw, batch), "{shards} shards");
+        }
+        let t = rt.telemetry();
+        assert_eq!(t.cache().mode_switches, shards as u64, "{shards} shards: one switch a shard");
+        assert!(
+            t.cache().bypassed - warm.cache().bypassed >= 8 * 1024 * 63 / 64 - 64,
+            "{shards} shards: the scan must be served in bypass ({:?})",
+            t.cache()
+        );
+        assert_eq!(
+            t.hot_path_allocs() - warm.hot_path_allocs(),
+            0,
+            "{shards} shards: the bypassed serve loop must not allocate"
         );
         rt.shutdown();
     }

@@ -57,6 +57,41 @@
 //! (0 restores pure TinyLFU, the A/B baseline in the `cache` bench
 //! experiment).
 //!
+//! ## Bypass
+//!
+//! A cache only pays when it hits: on a scan (every flow new) each
+//! packet pays a probe *and* an insert that admission then mostly
+//! rejects, on top of the classification it cannot avoid. So the cache
+//! also judges itself. The owner calls [`FlowCache::begin_batch`] at
+//! every batch boundary; once a window of [`FlowCache::capacity`]
+//! lookups has passed, the window's hit rate decides the mode for the
+//! next window — after two windows in a row below the break-even
+//! [`BYPASS_BELOW_PERCENT`] the cache is **bypassed**, after one at or
+//! above it the cache is used. (One window below is not enough: a cold
+//! cache misses every flow of its first window, even on traffic that
+//! fits it.) A bypassing owner classifies straight from its table and
+//! sends only about one packet in [`BYPASS_SAMPLE`]
+//! ([`FlowCache::sampled`]) through the full [`FlowCache::lookup`] +
+//! [`FlowCache::insert`], so the cache keeps learning and the same test,
+//! over the sampled lookups, turns it back on when the traffic turns
+//! hot. A switch either way needs a full window, so the mode cannot flap
+//! within one. The decision reads the counters [`CacheStats`] keeps
+//! anyway; the hit path gains no per-packet work, and `lookup` and
+//! `insert` mean what they always meant. [`CacheStats::bypassed`] and
+//! [`CacheStats::mode_switches`] count what the policy did.
+//!
+//! The gaps between sampled packets are random, so the sample holds the
+//! stream's flows in the stream's proportions and a sampled window reads
+//! about the hit rate the full stream would get. A fixed period would
+//! alias with periodic traffic: the benchmark's scan repeats every
+//! 262 144 packets, a multiple of 64, so every cycle would sample the
+//! same 4 096 flows, and a cache fed only those hit 16 % of its lookups
+//! where the full stream hits none. Random gaps over-read a cycle of `P`
+//! packets only a little: a sampled flow comes back into the sample
+//! after about 64 cycles, and only the few that come back within a
+//! cache's worth of sampled lookups can hit, about `capacity / P` of
+//! them (0.3 % measured on the benchmark's scan at one shard).
+//!
 //! ## Allocation behaviour
 //!
 //! Entries are plain `Copy` data: a header's fields are stored in a
@@ -133,6 +168,31 @@ const MAX_CAPACITY: usize = 1 << 28;
 /// Vacancy sentinel for [`Entry::hash`].
 const EMPTY: u64 = u64::MAX;
 
+/// Break-even hit rate, in percent: a decision window that hits less
+/// often than this bypasses the cache for the next window (see the
+/// [module docs](self)). A cached packet costs `h·hit + (1 − h)·(miss +
+/// insert + classify)`, a bypassed one `classify`, so the cache pays
+/// from `h = (miss + insert) / (miss + insert + classify − hit)`. The
+/// benchmark's per-layer readings (`scan_miss --trace 1`, one shard,
+/// 2-vCPU Xeon 2.1 GHz): `cache_hit_ns` 44, `cache_miss_ns` +
+/// `cache_insert_ns` 52 + 109 = 161 and `classify_ns` 242 give 0.45.
+/// Served in place the miss path costs more than the lab's isolated
+/// loop, about 230 ns a scan packet (`pps` with the cache and without),
+/// which gives 0.54. The constant sits between the two: a working set
+/// that fits hits far above it (`zipf_hot` ≥ 0.99, and ≥ 0.7 even in the
+/// first window of a cold cache), a scan far below it (≤ 0.01).
+pub const BYPASS_BELOW_PERCENT: u64 = 50;
+
+/// While bypassing, one packet in this many, on average, still goes
+/// through [`FlowCache::lookup`] + [`FlowCache::insert`]; the gap to the
+/// next sampled packet is drawn uniformly from `1..2·BYPASS_SAMPLE`. It
+/// costs a bypassing stream `(miss + insert) / 64`, under 3 ns a packet
+/// (under 1 % of a scan packet's miss + insert + `classify`), and still
+/// fills a decision window of a 1 024-slot cache in 64 Ki packets (16 of
+/// the benchmark's 4 096-packet batches), so hot traffic gets its cache
+/// back within a couple of windows.
+pub const BYPASS_SAMPLE: u32 = 64;
+
 /// How the cache decides, on a conflict miss, whether the new flow may
 /// evict a resident entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,10 +228,16 @@ pub struct CacheStats {
     pub window_capacity: usize,
     /// Lookups served from the recency window (a subset of `hits`).
     pub window_hits: u64,
+    /// Packets the owner classified without a lookup while the cache was
+    /// bypassed (not counted in `hits` or `misses`).
+    pub bypassed: u64,
+    /// Times the cache went into or out of bypass.
+    pub mode_switches: u64,
 }
 
 impl CacheStats {
     /// Hit fraction over all lookups (0 when nothing was looked up).
+    /// Packets served in bypass made no lookup and do not count.
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -195,6 +261,8 @@ impl CacheStats {
             capacity: self.capacity + other.capacity,
             window_capacity: self.window_capacity + other.window_capacity,
             window_hits: self.window_hits + other.window_hits,
+            bypassed: self.bypassed + other.bypassed,
+            mode_switches: self.mode_switches + other.mode_switches,
         }
     }
 }
@@ -339,6 +407,48 @@ pub struct FlowCache {
     /// Monotone access clock driving the window's LRU order.
     tick: u64,
     stats: CacheStats,
+    bypass: Bypass,
+}
+
+/// The bypass policy's state (see the [module docs](self)).
+#[derive(Debug, Clone, Copy)]
+struct Bypass {
+    /// The mode the current decision window runs in.
+    on: bool,
+    /// Whether the last decision window hit below break-even.
+    below: bool,
+    /// `hits + misses` when the current decision window opened.
+    window_lookups: u64,
+    /// `hits` when the current decision window opened.
+    window_hits: u64,
+    /// Packets until the next sampled one, while bypassing.
+    countdown: u32,
+    /// Xorshift state the sampling gaps are drawn from.
+    rng: u64,
+}
+
+impl Bypass {
+    fn new() -> Self {
+        Self {
+            on: false,
+            below: false,
+            window_lookups: 0,
+            window_hits: 0,
+            countdown: 0,
+            rng: 0x9E37_79B9_7F4A_7C15,
+        }
+    }
+
+    /// Draws the next countdown: uniform over `0..2·BYPASS_SAMPLE − 1`,
+    /// so the gap to the next sampled packet averages `BYPASS_SAMPLE`.
+    fn draw(&mut self) -> u32 {
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        #[allow(clippy::cast_possible_truncation)]
+        let countdown = (self.rng % u64::from(2 * BYPASS_SAMPLE - 1)) as u32;
+        countdown
+    }
 }
 
 impl FlowCache {
@@ -427,6 +537,7 @@ impl FlowCache {
             window_stamp: vec![0; window],
             tick: 0,
             stats: CacheStats { capacity: cap, window_capacity: window, ..CacheStats::default() },
+            bypass: Bypass::new(),
         }
     }
 
@@ -633,6 +744,51 @@ impl FlowCache {
         self.stats.insertions += 1;
     }
 
+    /// Starts a batch: closes the decision window if a full one
+    /// ([`FlowCache::capacity`] lookups) has passed since it opened,
+    /// setting the mode from its hit rate against
+    /// [`BYPASS_BELOW_PERCENT`], and returns whether the batch should
+    /// bypass the cache. A bypassing owner classifies each packet itself
+    /// and sends only those [`FlowCache::sampled`] picks through
+    /// [`FlowCache::lookup`] + [`FlowCache::insert`]. A new cache starts
+    /// in cached mode. Going into bypass takes two windows below
+    /// break-even in a row, because a cold (new or just invalidated)
+    /// cache misses every flow of its first window, whatever the
+    /// traffic; coming out takes one window at or above it.
+    pub fn begin_batch(&mut self) -> bool {
+        let b = &mut self.bypass;
+        let lookups = self.stats.hits + self.stats.misses - b.window_lookups;
+        if lookups >= self.entries.len() as u64 {
+            let hits = self.stats.hits - b.window_hits;
+            let below = hits * 100 < lookups * BYPASS_BELOW_PERCENT;
+            let on = below && (b.on || b.below);
+            b.below = below;
+            if on != b.on {
+                b.on = on;
+                b.countdown = 0;
+                self.stats.mode_switches += 1;
+            }
+            b.window_lookups = self.stats.hits + self.stats.misses;
+            b.window_hits = self.stats.hits;
+        }
+        b.on
+    }
+
+    /// While bypassing: whether this packet is a sampled one (about one
+    /// in [`BYPASS_SAMPLE`], at random gaps) that still goes through the
+    /// cache. Every other packet is counted in [`CacheStats::bypassed`].
+    #[inline]
+    pub fn sampled(&mut self) -> bool {
+        if self.bypass.countdown == 0 {
+            self.bypass.countdown = self.bypass.draw();
+            true
+        } else {
+            self.bypass.countdown -= 1;
+            self.stats.bypassed += 1;
+            false
+        }
+    }
+
     /// Allocated main-region slots — the *effective* capacity after the
     /// constructor's power-of-two rounding (the recency window's slots,
     /// [`FlowCache::window_capacity`], come on top).
@@ -697,14 +853,16 @@ impl FlowCache {
         self.stats
     }
 
-    /// Zeroes every counter (entries, window order and frequency history
-    /// are kept).
+    /// Zeroes every counter (entries, window order, frequency history
+    /// and the bypass mode are kept; the decision window restarts).
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats {
             capacity: self.entries.len(),
             window_capacity: self.window.len(),
             ..CacheStats::default()
         };
+        self.bypass.window_lookups = 0;
+        self.bypass.window_hits = 0;
     }
 
     /// Modeled memory footprint in bits: the main entry array, the
@@ -996,6 +1154,194 @@ mod tests {
         assert_eq!(s.estimate(42), 7);
         // Unrelated keys are (almost surely) unaffected by one hot key.
         assert!(s.estimate(43) <= 7);
+    }
+
+    /// Serves one batch the way a runtime shard does: one mode decision,
+    /// then every packet (cached mode) or the sampled ones (bypass)
+    /// through lookup + insert. Returns whether the batch bypassed.
+    fn serve(c: &mut FlowCache, batch: &[HeaderValues]) -> bool {
+        let bypass = c.begin_batch();
+        for h in batch {
+            if (!bypass || c.sampled()) && c.lookup(0, h).is_none() {
+                c.insert(0, h, Some(1));
+            }
+        }
+        bypass
+    }
+
+    /// `n` never-repeating flows, numbered from `first`.
+    fn scan(first: u128, n: usize) -> Vec<HeaderValues> {
+        (first..first + n as u128).map(|i| header(9, i)).collect()
+    }
+
+    /// `n` packets over `flows` flows, Zipf(1.0)-ranked: the benchmark's
+    /// `zipf_hot` shape. A fixed xorshift stream keeps it reproducible.
+    fn zipf(flows: u128, n: usize, seed: u64) -> Vec<HeaderValues> {
+        let cdf: Vec<f64> = (1..=flows)
+            .scan(0.0, |sum, k| {
+                *sum += 1.0 / k as f64;
+                Some(*sum)
+            })
+            .collect();
+        let total = cdf[cdf.len() - 1];
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let u = (x >> 11) as f64 / (1u64 << 53) as f64 * total;
+                header(1, cdf.partition_point(|&c| c < u) as u128)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_scan_enters_bypass_and_stays_there() {
+        let mut c = FlowCache::new(1024);
+        let mut next = 0;
+        let mut modes = Vec::new();
+        for _ in 0..32 {
+            modes.push(serve(&mut c, &scan(next, 4096)));
+            next += 4096;
+        }
+        // The first two batches fill two windows with misses; every
+        // later one bypasses.
+        assert!(!modes[0] && !modes[1], "a new cache starts cached: {modes:?}");
+        assert!(modes[2..].iter().all(|&b| b), "{modes:?}");
+        let s = c.stats();
+        assert_eq!(s.mode_switches, 1, "{s:?}");
+        // 30 bypassed batches, about one packet in 64 sampled: only
+        // those look up.
+        let sampled = s.hits + s.misses - 2 * 4096;
+        assert_eq!(s.bypassed + sampled, 30 * 4096, "{s:?}");
+        assert!(sampled.abs_diff(30 * 4096 / 64) < 30 * 4096 / 640, "{s:?}");
+        assert_eq!(s.hits, 0, "a scan never hits");
+    }
+
+    #[test]
+    fn sampling_does_not_alias_with_a_periodic_scan() {
+        // The benchmark's `scan_miss` shape, scaled down: 256x the cache's
+        // flows, replayed. The period is a multiple of 64, so a fixed
+        // one-in-64 sample would pick the same 256 flows every cycle and
+        // hit the ones admission keeps; at random gaps a flow comes back
+        // into the sample ~256 sampled lookups later, past the cache.
+        let cycle = scan(0, 256 * 64);
+        let mut full = FlowCache::new(64);
+        let mut c = FlowCache::new(64);
+        for _ in 0..32 {
+            for h in &cycle {
+                if full.lookup(0, h).is_none() {
+                    full.insert(0, h, Some(1));
+                }
+            }
+            for chunk in cycle.chunks(1024) {
+                serve(&mut c, chunk);
+            }
+        }
+        let s = c.stats();
+        assert_eq!(s.mode_switches, 1, "the scan stays bypassed: {s:?}");
+        let stream = full.stats().hit_rate();
+        assert!(stream < 0.01 && s.hit_rate() < 0.01, "sample {s:?}, stream {stream}");
+    }
+
+    #[test]
+    fn zipf_traffic_from_a_cold_cache_never_bypasses() {
+        // The benchmark's hot shape at both of its batch sizes: 4 096
+        // (one decision per batch) and 64 (a window spans 16 batches, so
+        // the first decision reads the coldest 1 024 lookups alone).
+        for batch in [4096, 64] {
+            for seed in [1, 7, 2015] {
+                let mut c = FlowCache::new(1024);
+                let trace = zipf(512, 64 * 4096, seed);
+                for chunk in trace.chunks(batch) {
+                    assert!(!serve(&mut c, chunk), "batch {batch}, seed {seed}");
+                }
+                let s = c.stats();
+                assert_eq!((s.bypassed, s.mode_switches), (0, 0), "batch {batch}, seed {seed}");
+                assert!(s.hit_rate() > 0.99, "batch {batch}, seed {seed}: {s:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_cold_start_is_not_a_scan() {
+        // Traffic that fits the cache exactly, every flow once a window:
+        // the first window of each cold start misses everything, the
+        // next hits, so the cache never bypasses. The same after the
+        // owner drops every entry (a new epoch).
+        let mut c = FlowCache::new(64);
+        let flows = scan(0, 64);
+        for epoch in 0..4 {
+            for _ in 0..16 {
+                assert!(!c.begin_batch(), "epoch {epoch}: {:?}", c.stats());
+                for h in &flows {
+                    if c.lookup(epoch, h).is_none() {
+                        c.insert(epoch, h, Some(1));
+                    }
+                }
+            }
+        }
+        let s = c.stats();
+        assert_eq!((s.bypassed, s.mode_switches), (0, 0), "{s:?}");
+    }
+
+    #[test]
+    fn hot_traffic_after_a_scan_gets_the_cache_back() {
+        let mut c = FlowCache::new(1024);
+        for i in 0..8 {
+            serve(&mut c, &scan(i * 4096, 4096));
+        }
+        assert!(c.begin_batch(), "the scan put the cache in bypass");
+        // A decision window of sampled lookups is 64 x 1 024 packets, 16
+        // batches of 4 096. The first window the hot traffic fills
+        // samples a cold cache; the next one hits.
+        let hot = zipf(512, 48 * 4096, 3);
+        let back = hot.chunks(4096).position(|chunk| !serve(&mut c, chunk));
+        let back = back.expect("the cache came back");
+        assert!(back <= 32, "hot traffic waited {back} batches for its cache");
+        let switches = c.stats().mode_switches;
+        assert_eq!(switches, 2, "into bypass and out again");
+        // Back in cached mode it stays there.
+        for chunk in zipf(512, 16 * 4096, 4).chunks(4096) {
+            assert!(!serve(&mut c, chunk));
+        }
+        assert_eq!(c.stats().mode_switches, switches);
+    }
+
+    #[test]
+    fn a_mode_switch_needs_a_full_window() {
+        let mut c = FlowCache::new(1024);
+        // 1 023 misses: the window is one lookup short, no decision yet.
+        assert!(!serve(&mut c, &scan(0, 1023)));
+        assert!(!serve(&mut c, &scan(1023, 1)));
+        // The first window (1 024 lookups, no hits) closes at this
+        // batch's start; one window below break-even is not enough.
+        assert!(!serve(&mut c, &scan(1024, 1024)));
+        // The second closes here: this batch bypasses, and a new window
+        // opens at 2 048 lookups.
+        assert!(serve(&mut c, &scan(2048, 64)));
+        // Hot traffic (16 flows the first batch cached) that hits nearly
+        // always: the cache stays bypassed until the sampled lookups
+        // fill a window, about 64 batches of 1 024 packets, and comes
+        // back at the first batch after that.
+        let hot: Vec<HeaderValues> = (0..64).flat_map(|_| scan(0, 16)).collect();
+        let mut bypassed_batches = 0;
+        loop {
+            let s = c.stats();
+            let window = s.hits + s.misses - 2048;
+            let bypass = serve(&mut c, &hot);
+            assert_eq!(bypass, window < 1024, "{window} sampled lookups: {s:?}");
+            if !bypass {
+                break;
+            }
+            bypassed_batches += 1;
+        }
+        assert!((48..=80).contains(&bypassed_batches), "{bypassed_batches}");
+        assert_eq!(c.stats().mode_switches, 2);
+        // A stats reset restarts the window but keeps the mode.
+        c.reset_stats();
+        assert!(!c.begin_batch());
     }
 
     #[test]

@@ -27,9 +27,14 @@
 //!   table — refreshed *between* jobs when the cell's version moved, so
 //!   one job is always served under exactly one table generation. The
 //!   per-packet path touches no locks: cache probe (worker-owned) and
-//!   table walk (immutable snapshot) only. Every worker runs under an
-//!   unwind boundary: a panic is caught, counted, and handed to the
-//!   supervisor instead of aborting the process.
+//!   table walk (immutable snapshot) only. Not every packet goes
+//!   through the cache: the cache decides once per job whether it pays
+//!   its way, and while its recent hit rate is below break-even (a
+//!   scan) the worker walks the table for every packet and sends only
+//!   about one in 64 through the cache, so the cache can tell when the
+//!   traffic turns hot again (see `FlowCache::begin_batch`). Every
+//!   worker runs under an unwind boundary: a panic is caught, counted,
+//!   and handed to the supervisor instead of aborting the process.
 //! * **Supervisor** ([`crate::supervisor`]): detects worker death
 //!   (thread liveness + the ring's `consumer_alive` signal) and stalls
 //!   (frozen heartbeat with work pending), respawns dead shards with a
@@ -1940,6 +1945,7 @@ fn sampler_loop<C: Classifier + 'static>(
         let hits: u64 = t.per_shard.iter().map(|s| s.cache.hits).sum();
         let lookups: u64 = t.per_shard.iter().map(|s| s.cache.hits + s.cache.misses).sum();
         let hit_rate = if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 };
+        let bypassed: u64 = t.per_shard.iter().map(|s| s.cache.bypassed).sum();
         let (wal_appends, checkpoints) =
             t.durability.map_or((0, 0), |d| (d.wal_appends, d.checkpoints));
         shared.series.push(MetricPoint {
@@ -1947,6 +1953,7 @@ fn sampler_loop<C: Classifier + 'static>(
             values: vec![
                 ("packets", packets as f64),
                 ("hit_rate", hit_rate),
+                ("bypassed", bypassed as f64),
                 ("shed_packets", shed as f64),
                 ("restarts", restarts as f64),
                 ("version", t.version as f64),
@@ -1962,9 +1969,12 @@ fn sampler_loop<C: Classifier + 'static>(
 
 /// The run-to-completion shard loop. Per job: record it as in-flight
 /// (crash insurance), refresh the replicated snapshot if the cell
-/// moved, then serve every packet through the worker-owned cache and
-/// the immutable table — no locks, and (once warmed) no heap
-/// allocations inside the per-packet loop.
+/// moved (bringing the flow cache along in either mode), ask the
+/// worker-owned cache whether it pays its way, then serve every packet
+/// through the cache and the immutable table — or, while the cache is
+/// bypassed, straight from the table, a sample of about one packet in
+/// 64 still going through the cache. No locks, and (once warmed) no
+/// heap allocations inside the per-packet loop.
 fn worker_loop<C: Classifier + 'static>(
     cfg: &WorkerConfig,
     shared: &Shared<C>,
@@ -2087,19 +2097,23 @@ fn worker_loop<C: Classifier + 'static>(
         // Sample the thread-local allocation counter strictly around the
         // per-packet loop (the rows buffer above is per-batch).
         let allocs_before = cfg.settings.alloc_counter.map(|probe| probe());
+        // The cache decides once per batch whether it pays its way; a
+        // bypassed one still sees a sample of the packets.
+        let bypass = cache.as_mut().is_some_and(FlowCache::begin_batch);
         match cache.as_mut() {
+            Some(cache) if !bypass => {
+                for &i in &idx {
+                    rows.push(through_cache(cache, epoch, &snap.value, &headers[i as usize]));
+                }
+            }
             Some(cache) => {
                 for &i in &idx {
                     let header = &headers[i as usize];
-                    let row = match cache.lookup(epoch, header) {
-                        Some(row) => row,
-                        None => {
-                            let row = snap.value.classify(header);
-                            cache.insert(epoch, header, row);
-                            row
-                        }
-                    };
-                    rows.push(row);
+                    rows.push(if cache.sampled() {
+                        through_cache(cache, epoch, &snap.value, header)
+                    } else {
+                        snap.value.classify(header)
+                    });
                 }
             }
             None => {
@@ -2126,6 +2140,23 @@ fn worker_loop<C: Classifier + 'static>(
         clear_inflight(shared, cfg.shard, my_epoch);
         drop(headers);
     }
+}
+
+/// One packet through the flow cache: its memoised row, or else the
+/// table's answer, offered to the cache. Always inlined, so the cached
+/// per-packet loop compiles to no call.
+#[inline(always)]
+fn through_cache<C: Classifier>(
+    cache: &mut FlowCache,
+    epoch: u64,
+    table: &C,
+    header: &HeaderValues,
+) -> Option<u32> {
+    cache.lookup(epoch, header).unwrap_or_else(|| {
+        let row = table.classify(header);
+        cache.insert(epoch, header, row);
+        row
+    })
 }
 
 /// Clears `shard`'s in-flight slot — only if the clearing worker still

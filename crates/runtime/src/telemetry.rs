@@ -69,6 +69,10 @@ pub struct ShardCounters {
     pub cache_rejections: AtomicU64,
     /// See [`ShardCounters::cache_hits`].
     pub cache_window_hits: AtomicU64,
+    /// See [`ShardCounters::cache_hits`].
+    pub cache_bypassed: AtomicU64,
+    /// See [`ShardCounters::cache_hits`].
+    pub cache_mode_switches: AtomicU64,
     /// Effective main-region slot count of the worker's cache (set from
     /// the cache itself, so power-of-two rounding is reflected).
     pub cache_capacity: AtomicU64,
@@ -93,6 +97,8 @@ struct CacheBaseline {
     evictions: AtomicU64,
     rejections: AtomicU64,
     window_hits: AtomicU64,
+    bypassed: AtomicU64,
+    mode_switches: AtomicU64,
 }
 
 impl ShardCounters {
@@ -109,6 +115,9 @@ impl ShardCounters {
         self.cache_evictions.store(base.evictions.load(Relaxed) + stats.evictions, Relaxed);
         self.cache_rejections.store(base.rejections.load(Relaxed) + stats.rejections, Relaxed);
         self.cache_window_hits.store(base.window_hits.load(Relaxed) + stats.window_hits, Relaxed);
+        self.cache_bypassed.store(base.bypassed.load(Relaxed) + stats.bypassed, Relaxed);
+        self.cache_mode_switches
+            .store(base.mode_switches.load(Relaxed) + stats.mode_switches, Relaxed);
         self.cache_capacity.store(stats.capacity as u64, Relaxed);
         self.cache_window_capacity.store(stats.window_capacity as u64, Relaxed);
     }
@@ -125,6 +134,8 @@ impl ShardCounters {
         base.evictions.store(self.cache_evictions.load(Relaxed), Relaxed);
         base.rejections.store(self.cache_rejections.load(Relaxed), Relaxed);
         base.window_hits.store(self.cache_window_hits.load(Relaxed), Relaxed);
+        base.bypassed.store(self.cache_bypassed.load(Relaxed), Relaxed);
+        base.mode_switches.store(self.cache_mode_switches.load(Relaxed), Relaxed);
     }
 }
 
@@ -352,6 +363,8 @@ impl ShardTelemetry {
                     mirrored => mirrored as usize,
                 },
                 window_capacity: c.cache_window_capacity.load(Relaxed) as usize,
+                bypassed: c.cache_bypassed.load(Relaxed),
+                mode_switches: c.cache_mode_switches.load(Relaxed),
             },
             latency_p50_ns: quantile(&hist, 0.50),
             latency_p90_ns: quantile(&hist, 0.90),
@@ -514,12 +527,13 @@ impl RuntimeTelemetry {
         let _ = write!(
             out,
             "{{\"version\":{},\"shards\":{},\"total_packets\":{},\"hit_rate\":{:.6},\
-             \"total_restarts\":{},\"total_panics\":{},\"total_shed_packets\":{},\
-             \"poison_recoveries\":{},\"ticket_timeouts\":{},",
+             \"total_bypassed\":{},\"total_restarts\":{},\"total_panics\":{},\
+             \"total_shed_packets\":{},\"poison_recoveries\":{},\"ticket_timeouts\":{},",
             self.version,
             self.shards,
             self.total_packets(),
             self.hit_rate(),
+            self.cache().bypassed,
             self.total_restarts(),
             self.total_panics(),
             self.total_shed_packets(),
@@ -609,7 +623,8 @@ impl RuntimeTelemetry {
                  \"deadline_shed_packets\":{}}},\
                  \"cache\":{{\"hits\":{},\"misses\":{},\
                  \"hit_rate\":{:.6},\"insertions\":{},\"evictions\":{},\"rejections\":{},\
-                 \"window_hits\":{},\"capacity\":{},\"window_capacity\":{}}},\
+                 \"window_hits\":{},\"capacity\":{},\"window_capacity\":{},\"bypassed\":{},\
+                 \"mode_switches\":{}}},\
                  \"latency_ns\":{{\"p50\":{},\"p90\":{},\"p99\":{}}}}}",
                 s.shard,
                 s.packets,
@@ -636,6 +651,8 @@ impl RuntimeTelemetry {
                 s.cache.window_hits,
                 s.cache.capacity,
                 s.cache.window_capacity,
+                s.cache.bypassed,
+                s.cache.mode_switches,
                 s.latency_p50_ns,
                 s.latency_p90_ns,
                 s.latency_p99_ns,
@@ -712,6 +729,8 @@ mod tests {
             window_hits: 9,
             capacity: 64,
             window_capacity: 4,
+            bypassed: 500,
+            mode_switches: 1,
         });
         assert_eq!(counters.cache_hits.load(Relaxed), 100);
 
@@ -724,12 +743,15 @@ mod tests {
             misses: 1,
             capacity: 64,
             window_capacity: 4,
+            mode_switches: 1,
             ..CacheStats::default()
         });
         assert_eq!(counters.cache_hits.load(Relaxed), 103, "hits accumulate across generations");
         assert_eq!(counters.cache_misses.load(Relaxed), 41);
         assert_eq!(counters.cache_insertions.load(Relaxed), 30);
         assert_eq!(counters.cache_window_hits.load(Relaxed), 9);
+        assert_eq!(counters.cache_bypassed.load(Relaxed), 500);
+        assert_eq!(counters.cache_mode_switches.load(Relaxed), 2);
         assert_eq!(counters.cache_capacity.load(Relaxed), 64, "capacity stays absolute");
 
         // A second generation keeps compounding.
@@ -753,6 +775,7 @@ mod tests {
                 "shards",
                 "total_packets",
                 "hit_rate",
+                "total_bypassed",
                 "total_restarts",
                 "total_panics",
                 "total_shed_packets",
@@ -868,6 +891,8 @@ mod tests {
                     "window_hits",
                     "capacity",
                     "window_capacity",
+                    "bypassed",
+                    "mode_switches",
                 ],
                 "cache",
             );
@@ -884,7 +909,12 @@ mod tests {
         let counters = ShardCounters::default();
         counters.packets.store(10, Relaxed);
         counters.busy_ns.store(1000, Relaxed);
-        counters.record_cache(&CacheStats { hits: 7, misses: 3, ..CacheStats::default() });
+        counters.record_cache(&CacheStats {
+            hits: 7,
+            misses: 3,
+            bypassed: 90,
+            ..CacheStats::default()
+        });
         counters.latency.record(500);
         counters.panics.store(1, Relaxed);
         counters.restarts.store(1, Relaxed);
@@ -921,10 +951,10 @@ mod tests {
         assert!(matches!(doc.get("trace"), Some(Json::Null)));
         let shard0 = &doc.get("per_shard").and_then(Json::as_arr).expect("per_shard")[0];
         assert_eq!(shard0.get("pinned").and_then(Json::as_bool), Some(false));
-        assert_eq!(
-            shard0.get("cache").and_then(|c| c.get("hits")).and_then(Json::as_f64),
-            Some(7.0)
-        );
+        let cache = shard0.get("cache").expect("cache block");
+        assert_eq!(cache.get("hits").and_then(Json::as_f64), Some(7.0));
+        assert_eq!(cache.get("bypassed").and_then(Json::as_f64), Some(90.0));
+        assert_eq!(doc.get("total_bypassed").and_then(Json::as_f64), Some(90.0));
         assert_eq!(
             shard0.get("faults").and_then(|f| f.get("shed_packets")).and_then(Json::as_f64),
             Some(5.0)

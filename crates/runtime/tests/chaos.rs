@@ -435,7 +435,8 @@ fn delayed_publish_slows_control_plane_not_dataplane() {
         .with(MatchFieldKind::Ipv4Dst, 0x0A01_0203u128);
     assert_eq!(rt.classify_batch(std::slice::from_ref(&h)).rows, vec![Some(1)]);
     let t0 = Instant::now();
-    let publisher = std::thread::spawn(move || handle.add_rule(route(9, 1, 0x0A01_0200, 24, 9)));
+    // A /30 inside rule 1's /24: higher priority, so it answers `h`.
+    let publisher = std::thread::spawn(move || handle.add_rule(route(9, 1, 0x0A01_0200, 30, 9)));
     // While the publish sleeps, the dataplane serves version 1 answers.
     // (The publish can land mid-batch, so gate the row assertion on the
     // version each packet actually reports.)
@@ -854,6 +855,77 @@ fn cache_counters_stay_monotone_across_worker_respawns() {
         "cumulative lookups span all generations: {lookups} < {}",
         30 * hs.len()
     );
+}
+
+/// A worker that dies while its flow cache is bypassed (a scan) comes
+/// back with a fresh cache in cached mode: the re-routed batch goes
+/// through the cache packet by packet, the scan puts the new cache back
+/// into bypass after two decision windows, and every answer — across
+/// the crash and across updates published while bypassing — equals the
+/// oracle.
+#[test]
+fn worker_panic_while_bypassing_respawns_cached_and_bypasses_again() {
+    const BATCH: u128 = 256;
+    let plan = FaultPlan::new(1).worker_panic(0, 5);
+    let rt = Runtime::with_control(Scan(rules()), &fault_config(1, Arc::new(plan)));
+    let mut live = rules();
+    // Batch `k` of a scan: flows no earlier batch carried.
+    let scan = |k: u128| -> Vec<HeaderValues> {
+        (k * BATCH..(k + 1) * BATCH)
+            .map(|i| {
+                HeaderValues::new()
+                    .with(MatchFieldKind::InPort, 1 + (i % 4))
+                    .with(MatchFieldKind::Ipv4Dst, 0x0A00_0000 + i)
+            })
+            .collect()
+    };
+    let serve = |k: u128, live: &[Rule]| {
+        let hs = scan(k);
+        let out = must_complete(rt.submit(hs.clone().into()), "scan batch");
+        assert!(out.fully_delivered(), "batch {k}: a crash re-routes, never loses");
+        let want: Vec<Option<u32>> = hs.iter().map(|h| reference_classify(live, h)).collect();
+        assert_eq!(out.rows, want, "batch {k}");
+        assert!(out.versions.iter().all(|&v| v == rt.version()), "batch {k}: version");
+    };
+    let cache = || rt.telemetry().per_shard[0].cache;
+    // Steps 0-4: the first two batches fill two decision windows with
+    // misses, the next three bypass; an update lands while bypassing.
+    for k in 0..5 {
+        serve(k, &live);
+        if k == 2 {
+            let rule = route(50, 1, 0x0A00_0000, 24, 77);
+            rt.add_rule(rule.clone()).expect("rule inserts");
+            live.push(rule);
+        }
+    }
+    let before = cache();
+    assert_eq!(before.mode_switches, 1, "the scan put the cache in bypass: {before:?}");
+    assert!(before.bypassed > 0);
+    // Step 5 panics; the respawned worker serves the re-routed batch
+    // through its fresh cache, every packet looked up.
+    serve(5, &live);
+    let t = rt.telemetry();
+    assert_eq!(t.total_panics(), 1, "the planned panic fired");
+    assert!(t.per_shard[0].restarts >= 1, "the crash was respawned");
+    let respawned = t.per_shard[0].cache;
+    assert_eq!(
+        respawned.hits + respawned.misses - before.hits - before.misses,
+        BATCH as u64,
+        "the respawned shard starts cached"
+    );
+    assert_eq!(respawned.bypassed, before.bypassed, "nothing bypassed on the fresh cache");
+    // The scan goes on, with a remove published while bypassing: the new
+    // cache goes back into bypass after its first two windows.
+    for k in 6..10 {
+        if k == 7 {
+            rt.remove_rule(50).expect("rule exists");
+            live.retain(|r| r.id != 50);
+        }
+        serve(k, &live);
+    }
+    let after = cache();
+    assert_eq!(after.mode_switches, 2, "the new cache went into bypass too: {after:?}");
+    assert!(after.bypassed > respawned.bypassed, "{after:?}");
 }
 
 /// The flight recorder is crash forensics: after injected panics the

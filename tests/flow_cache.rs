@@ -10,13 +10,15 @@
 //! (serving stale rows) a carry-over or epoch mistake would produce.
 //! Both admission policies are driven: W-TinyLFU (the default — its
 //! rejections and sketch-guided evictions must never change *what* is
-//! served, only *whether* it is memoised) and blind replacement. The
-//! cache's own invariants are unit-tested on `FlowCache` in
-//! `classifier-api`.
+//! served, only *whether* it is memoised) and blind replacement. Scan
+//! phases between the hot ones put the shards' caches into bypass, so
+//! updates also land while the caches are bypassed and must not leave a
+//! stale row for the cache to serve once it is back. The cache's own
+//! invariants are unit-tested on `FlowCache` in `classifier-api`.
 
 use classifier_api::{reference_classify, Admission, ClassifierBuilder};
 use mtl_core::{MtlSwitch, SwitchConfig};
-use mtl_runtime::{Runtime, RuntimeConfig, RuntimeHandle};
+use mtl_runtime::{shard_of, Runtime, RuntimeConfig, RuntimeHandle};
 use offilter::{FilterKind, FilterSet, Rule, RuleAction};
 use oflow::{FlowMatch, HeaderValues, MatchFieldKind};
 use proptest::prelude::*;
@@ -113,14 +115,68 @@ fn assert_served<C: classifier_api::Classifier + 'static>(
     }
 }
 
+/// The largest per-shard cache the update test runs; a scan phase sends
+/// 16 times as many distinct flows.
+const SCAN_FLOWS: u32 = 16 * 64;
+
+/// Serves `SCAN_FLOWS` never-repeating flows, numbered from `*next`
+/// (which advances), in 64-packet batches across the pool's rules and
+/// misses: enough lookups for every shard's cache to see a scan. Every
+/// answer must equal the oracle over `rules`.
+fn scan_phase<C: classifier_api::Classifier + 'static>(
+    rt: &RuntimeHandle<C>,
+    rules: &[Rule],
+    next: &mut u32,
+    ctx: &str,
+) {
+    let flows: Vec<HeaderValues> =
+        (*next..*next + SCAN_FLOWS).map(|i| header(1 + i % 3, 0x0A00_0000 + i * 0x0101)).collect();
+    *next += SCAN_FLOWS;
+    for batch in flows.chunks(64) {
+        let want: Vec<Option<u32>> = batch.iter().map(|h| reference_classify(rules, h)).collect();
+        let out = rt.classify_batch(batch);
+        assert_eq!(out.rows, want, "{ctx}: scan");
+        assert!(out.versions.iter().all(|&v| v == rt.version()), "{ctx}: scan versions");
+    }
+}
+
+/// Serves the probe set over and over until every shard it reaches has
+/// its cache back (an even count of mode switches: into bypass and out
+/// again), checking every answer against the oracle.
+fn hot_until_cached<C: classifier_api::Classifier + 'static>(
+    rt: &RuntimeHandle<C>,
+    rules: &[Rule],
+    shards: usize,
+    ctx: &str,
+) {
+    let probes = probes();
+    let reached: Vec<usize> = probes.iter().map(|h| shard_of(h, shards)).collect();
+    let batch: Vec<HeaderValues> = probes.iter().cycle().take(64 * probes.len()).cloned().collect();
+    let want: Vec<Option<u32>> = batch.iter().map(|h| reference_classify(rules, h)).collect();
+    let cached = |rt: &RuntimeHandle<C>| {
+        let t = rt.telemetry();
+        reached.iter().all(|&s| t.per_shard[s].cache.mode_switches.is_multiple_of(2))
+    };
+    let mut batches = 0;
+    while !cached(rt) {
+        assert!(batches < 400, "{ctx}: hot traffic never got its cache back");
+        assert_eq!(rt.classify_batch(&batch).rows, want, "{ctx}: hot batch {batches}");
+        batches += 1;
+    }
+    assert_served(rt, rules, &probes, &format!("{ctx}: cache back"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random interleavings of add_rule / remove_rule with served
     /// classification: after every update, runtimes caching under
-    /// **both** admission policies must answer as the oracle (no stale
-    /// rows survive a publish, and TinyLFU's admission decisions never
-    /// alter served results).
+    /// **both** admission policies, at 1, 2 and 3 shards, must answer as
+    /// the oracle (no stale rows survive a publish, and TinyLFU's
+    /// admission decisions never alter served results). A scan phase
+    /// comes before the first update and after every hot phase, so
+    /// every update is published while the caches are bypassed, and at
+    /// the end hot traffic brings them back.
     #[test]
     fn cached_classification_survives_random_updates(
         seed_mask in 1u32..0xFFFF,
@@ -139,17 +195,30 @@ proptest! {
         let sw = MtlSwitch::build(&SwitchConfig::single_app(FilterKind::Routing, 0), &[&set]);
         let mut live: Vec<Rule> = seeded;
         // A deliberately tiny TinyLFU cache (constant admission
-        // pressure) and a blind cache, over two shards each.
-        let runtimes = [
-            ("tinylfu", Runtime::with_control(sw.clone(), &config(2, 16, Admission::TinyLfu))),
-            ("blind", Runtime::with_control(sw, &config(2, 64, Admission::Blind))),
-        ];
+        // pressure) and a blind cache, over 1, 2 and 3 shards each.
+        let runtimes: Vec<(String, usize, Runtime<MtlSwitch>)> = [1, 2, 3]
+            .into_iter()
+            .flat_map(|shards| {
+                [
+                    ("tinylfu", config(shards, 16, Admission::TinyLfu)),
+                    ("blind", config(shards, 64, Admission::Blind)),
+                ]
+                .map(|(policy, cfg)| {
+                    (format!("{policy}, {shards} shards"), shards, Runtime::with_control(sw.clone(), &cfg))
+                })
+            })
+            .collect();
         let headers = probes();
+        let mut next = 0;
 
         // Warm the caches on the seed state (entries that MUST not be
-        // served stale after the updates below).
-        for (name, rt) in &runtimes {
+        // served stale after the updates below), then scan them into
+        // bypass.
+        for (name, _, rt) in &runtimes {
             assert_served(rt, &live, &headers, &format!("seed ({name})"));
+            scan_phase(rt, &live, &mut next, &format!("seed ({name})"));
+            let bypassed = rt.telemetry().cache().bypassed;
+            prop_assert!(bypassed > 0, "{}: the scan must bypass the cache", name);
         }
 
         for (i, (add, which)) in ops.iter().enumerate() {
@@ -161,7 +230,7 @@ proptest! {
                     continue;
                 }
                 let rule = missing[which.index(missing.len())].clone();
-                for (_, rt) in &runtimes {
+                for (_, _, rt) in &runtimes {
                     rt.add_rule(rule.clone()).expect("pool rule inserts");
                 }
                 live.push(rule);
@@ -170,14 +239,18 @@ proptest! {
                     continue;
                 }
                 let victim = live[which.index(live.len())].id;
-                for (_, rt) in &runtimes {
+                for (_, _, rt) in &runtimes {
                     rt.remove_rule(victim).expect("victim is live");
                 }
                 live.retain(|r| r.id != victim);
             }
-            for (name, rt) in &runtimes {
+            for (name, _, rt) in &runtimes {
                 assert_served(rt, &live, &headers, &format!("op {i} ({name})"));
+                scan_phase(rt, &live, &mut next, &format!("op {i} ({name})"));
             }
+        }
+        for (name, shards, rt) in &runtimes {
+            hot_until_cached(rt, &live, *shards, &format!("end ({name})"));
         }
     }
 }
